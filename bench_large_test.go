@@ -187,17 +187,11 @@ func benchGammaBackend(b *testing.B, caseName string, gb gridmtd.GammaBackend) {
 func BenchmarkGammaBackend118Exact(b *testing.B) {
 	benchGammaBackend(b, "ieee118", gridmtd.GammaExact)
 }
-func BenchmarkGammaBackend118Sparse(b *testing.B) {
-	benchGammaBackend(b, "ieee118", gridmtd.GammaSparse)
-}
 func BenchmarkGammaBackend118Sketch(b *testing.B) {
 	benchGammaBackend(b, "ieee118", gridmtd.GammaSketch)
 }
 func BenchmarkGammaBackend300Exact(b *testing.B) {
 	benchGammaBackend(b, "ieee300", gridmtd.GammaExact)
-}
-func BenchmarkGammaBackend300Sparse(b *testing.B) {
-	benchGammaBackend(b, "ieee300", gridmtd.GammaSparse)
 }
 func BenchmarkGammaBackend300Sketch(b *testing.B) {
 	benchGammaBackend(b, "ieee300", gridmtd.GammaSketch)
@@ -207,7 +201,7 @@ func BenchmarkGammaBackend300Sketch(b *testing.B) {
 // per iteration, so nothing is memoized and the measured time is the full
 // request: case build, baseline OPF, multi-start search (sketch-γ guided),
 // attack sampling/evaluation and the exact γ/η' reporting. This is the
-// end-to-end latency PERF.md's cold-selection table records, at the CI
+// end-to-end latency PERF.md's latest numbers record, at the CI
 // smoke point (γ_th 0.05, 1 start, 30 evals, 20 attacks, sketch γ).
 func benchColdSelect(b *testing.B, caseName string) {
 	req := planner.SelectRequest{

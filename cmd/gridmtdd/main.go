@@ -88,6 +88,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -102,6 +103,7 @@ import (
 	"gridmtd"
 	"gridmtd/internal/planner"
 	"gridmtd/internal/planner/diskcache"
+	"gridmtd/internal/subspace"
 )
 
 func main() {
@@ -110,7 +112,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8642", "listen address")
 		backend     = flag.String("backend", "auto", "linear-algebra backend: auto, dense or sparse")
-		gammaBk     = flag.String("gamma", "auto", "default γ-evaluation backend: auto, exact, sparse or sketch (requests may override per call)")
+		gammaBk     = flag.String("gamma", "auto", "default γ-evaluation backend: auto, exact or sketch (requests may override per call)")
 		parallel    = flag.Int("parallel", 0, "per-request search parallelism (0 = all cores); results are identical for any setting")
 		maxCases    = flag.Int("cases", 8, "case LRU capacity ((case, load-scale) entries)")
 		maxResults  = flag.Int("results", 256, "response memo capacity")
@@ -347,11 +349,32 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 	w.Write(b.body.Bytes())
 }
 
+// readBody reads a request body of at most maxRouteBody bytes. On failure
+// it answers the request itself — 413 for an oversized body, 400 for any
+// other read error — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]any{"error": fmt.Sprintf("read request: %v", err)})
+		return nil, false
+	}
+	return body, true
+}
+
 // serve decodes one request body, runs the planner call and writes the
 // response, mapping planner errors to HTTP statuses.
 func serve[Req any](w http.ResponseWriter, r *http.Request, call func(Req) (any, error)) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req Req
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("invalid request: %v", err)})
 		return
 	}
@@ -359,6 +382,8 @@ func serve[Req any](w http.ResponseWriter, r *http.Request, call func(Req) (any,
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		switch {
+		case errors.Is(err, subspace.ErrUnknownGammaBackend):
+			status = http.StatusBadRequest
 		case errors.Is(err, planner.ErrUnreachable):
 			status = http.StatusConflict
 		case errors.Is(err, planner.ErrOverloaded):

@@ -238,6 +238,43 @@ func TestErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body status %d, want 400", resp.StatusCode)
 	}
+	// Unknown γ backend ("sparse" names a grid backend, not a γ one): bad
+	// request, like any other malformed field.
+	if code := postJSON(t, srv.URL+"/v1/select",
+		planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.1, GammaBackend: "sparse"}, nil); code != http.StatusBadRequest {
+		t.Errorf("gamma_backend sparse status %d, want 400", code)
+	}
+}
+
+// paddedSelectBody is a valid select request padded with whitespace inside
+// the object until it exceeds maxRouteBody.
+func paddedSelectBody() []byte {
+	var b bytes.Buffer
+	b.WriteString(`{"case":"ieee14",`)
+	b.Write(bytes.Repeat([]byte(" "), maxRouteBody))
+	b.WriteString(`"gamma_threshold":0.1,"starts":1,"seed":1,"attacks":20}`)
+	return b.Bytes()
+}
+
+// postStatus posts a raw body and returns the response status.
+func postStatus(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestOversizedBodyIs413 pins the shard's input bound: a body past
+// maxRouteBody is refused with 413, whatever it contains.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv := testServer(t)
+	if code := postStatus(t, srv.URL+"/v1/select", paddedSelectBody()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized select body status %d, want 413", code)
+	}
 }
 
 // TestRequestDeadline pins the service-hardening contract: a compute

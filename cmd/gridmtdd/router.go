@@ -26,9 +26,10 @@ import (
 	"time"
 )
 
-// maxRouteBody bounds how much of a request body the router will buffer
-// for shard selection and forwarding (explicit x_old vectors on the
-// 300-bus case are ~10 KB; 4 MiB is far beyond any legitimate request).
+// maxRouteBody bounds how much of a request body the router and the shard
+// handlers will read (explicit x_old vectors on the 300-bus case are
+// ~10 KB; 4 MiB is far beyond any legitimate request). Larger bodies are
+// answered 413.
 const maxRouteBody = 4 << 20
 
 // router proxies planner traffic over a fixed shard list.
@@ -133,9 +134,8 @@ func (rt *router) handler() http.Handler {
 // response (status, Content-Type, Retry-After and body included, so even
 // a coalesced 429 back-pressure verdict reaches every client).
 func (rt *router) route(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouteBody))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("read request: %v", err)})
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var key struct {

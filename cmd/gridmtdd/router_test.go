@@ -349,3 +349,12 @@ func TestRouterHealthAndDeadShard(t *testing.T) {
 		t.Errorf("stats with a dead shard: status %d, want 502", r2.StatusCode)
 	}
 }
+
+// TestRouterOversizedBodyIs413: the router refuses a body past
+// maxRouteBody with 413 instead of forwarding a truncated copy.
+func TestRouterOversizedBodyIs413(t *testing.T) {
+	_, front := startFleet(t, 1)
+	if code := postStatus(t, front.URL+"/v1/select", paddedSelectBody()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized select body status %d via the router, want 413", code)
+	}
+}

@@ -48,7 +48,7 @@ func TestBadFlagErrorsListChoices(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown gamma backend")
 	}
-	for _, want := range []string{"auto", "exact", "sparse", "sketch"} {
+	for _, want := range []string{"auto", "exact", "sketch"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("gamma flag error %q does not list %q", err, want)
 		}

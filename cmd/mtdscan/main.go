@@ -53,7 +53,7 @@ func run(args []string, w io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		parallel = fs.Int("parallel", 0, "worker parallelism for the selection searches (0 = all cores, 1 = serial); results are identical for any setting")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
-		gammaBk  = fs.String("gamma", "auto", "γ-evaluation backend: auto, exact, sparse or sketch ('list' describes them)")
+		gammaBk  = fs.String("gamma", "auto", "γ-evaluation backend: auto, exact or sketch ('list' describes them)")
 		csvPath  = fs.String("csv", "", "also write the frontier to this CSV file")
 	)
 	if err := fs.Parse(args); err != nil {

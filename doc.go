@@ -83,9 +83,6 @@
 //   - exact (the default): the reference principal-angle pipeline —
 //     bitwise-reproducible below the 50-bus sparse threshold, the
 //     multi-accumulator fast kernels above it (1e-9 agreement).
-//   - sparse: CSC-aware Gram-Schmidt over the reduced measurement rows,
-//     skipping structural zeros via topology-fixed column supports; agrees
-//     with exact to 1e-9 rad.
 //   - sketch: no basis is formed at all — candidate Gram matrices revalue
 //     a fixed sparse pattern (Eᵀ·D·G·D·E), orthonormality lives implicitly
 //     in their sparse Cholesky factors, and sin²γ comes from a seeded
@@ -93,7 +90,7 @@
 //     (PERF.md), under a documented 1e-6 error bound (measured ≤ 1e-12)
 //     with automatic exact fallback near the rank cutoff.
 //
-// Approximate backends only ever guide searches: SelectMTD/MaxGamma
+// The approximate backend only ever guides searches: SelectMTD/MaxGamma
 // re-check the winning candidate exactly, and the placement study
 // re-checks each greedy round's winner, so every reported γ is exact.
 // Attack-set evaluation follows the same contract — residuals are
@@ -102,7 +99,8 @@
 // (and "-backend list") on the commands describe the choices.
 //
 // Underneath, the dispatch LP runs a bounded-variable revised simplex
-// with product-form (eta-file) factorization updates, a deterministic
+// with product-form (eta-file) updates to one dense LU, Devex dual
+// pricing (Bland's rule as the anti-cycling fallback), a deterministic
 // crash basis when no warm basis exists, and certified dual-simplex
 // infeasibility detection; lp.GlobalRevisedStats counters surface
 // through the daemon's /v1/stats and mtdexp -v. PERF.md records the
@@ -118,18 +116,8 @@
 // exactly against the candidate's data), and multi-start restarts are
 // screened against the deterministic trajectories' optimum so a losing
 // restart costs one evaluation instead of a local-search budget.
-// Dual-bound screening closes the loop from the other side: each
-// verified warm solve banks its optimal duals, and a candidate LP is
-// probed against those certificates first — by weak duality any stored
-// dual vector prices a certified lower bound on the candidate's optimum
-// in O(m·n) with zero pivots, so a candidate whose bound already clears
-// the search's acceptance threshold is rejected without solving.
-// Screening may only skip solves whose outcome provably cannot change
-// the trajectory's accepted points, so search results stay bitwise
-// identical to the unscreened run. All of these are invisible to the
-// dense/golden path and their traffic is reported by
-// GlobalSolveCacheStats, the lp counters (bound probes/screens
-// included) and /v1/stats (which supports ?mark=/?since= named
+// All of these are invisible to the dense/golden path and their traffic
+// is reported by GlobalSolveCacheStats, the lp counters and /v1/stats (which supports ?mark=/?since= named
 // snapshots for per-request deltas).
 //
 // The runnable programs under examples/ walk through the full defender

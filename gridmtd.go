@@ -131,21 +131,19 @@ func SetDefaultBackend(b Backend) { grid.SetDefaultBackend(b) }
 
 // GammaBackend names a γ-evaluation strategy: exact (the reference
 // principal-angle pipeline, bitwise below the sparse threshold and
-// fast-kernel 1e-9 above it), sparse (CSC-aware Gram-Schmidt skipping
-// structural zeros, 1e-9 agreement) or sketch (sparse-Gram Cholesky plus
-// seeded randomized Lanczos under a documented error bound with automatic
-// exact fallback). Selected through the same seam pattern as Backend.
+// fast-kernel 1e-9 above it) or sketch (sparse-Gram Cholesky plus seeded
+// randomized Lanczos under a documented error bound with automatic exact
+// fallback). Selected through the same seam pattern as Backend.
 type GammaBackend = core.GammaBackend
 
 // γ-backend choices for NewGammaEvaluatorBackend and SetDefaultGammaBackend.
 const (
 	GammaAuto   = core.AutoGamma
 	GammaExact  = core.ExactGamma
-	GammaSparse = core.SparseGamma
 	GammaSketch = core.SketchGamma
 )
 
-// ParseGammaBackend parses a -gamma flag value ("auto", "exact", "sparse",
+// ParseGammaBackend parses a -gamma flag value ("auto", "exact",
 // "sketch"); the error for an unknown value lists every valid choice.
 func ParseGammaBackend(s string) (GammaBackend, error) { return subspace.ParseGammaBackend(s) }
 
@@ -224,12 +222,8 @@ func FormatLPStats(w io.Writer, s LPStats) {
 		s.Solves, s.WarmSolves, s.ColdSolves, s.Fallbacks)
 	fmt.Fprintf(w, "  warm pivots: %d primal, %d dual (%d steepest-edge, %d bound flips); basis exchanges: %d eta updates, %d refactorizations\n",
 		s.PrimalPivots, s.DualPivots, s.SEPivots, s.BoundFlips, s.EtaUpdates, s.Refactorizations)
-	fmt.Fprintf(w, "  pricing-weight resets: %d; sparse working-matrix factorizations: %d\n",
-		s.WeightResets, s.SparseFactors)
 	fmt.Fprintf(w, "  infeasibility: %d certified by full solves, %d pre-screened by recycled Farkas rays (%d ray probes)\n",
 		s.InfeasibleSolves, s.PrescreenHits, s.PrescreenProbes)
-	fmt.Fprintf(w, "  dual-bound screen: %d solves skipped with certified bounds (%d probes)\n",
-		s.BoundScreens, s.BoundProbes)
 }
 
 // FormatSolveCacheStats writes the one-line human rendering of the

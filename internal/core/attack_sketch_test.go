@@ -118,9 +118,8 @@ func TestSketchedAttackEvalExactPathsUntouched(t *testing.T) {
 
 // TestCarriedWarmStartDeterminism pins the carried-Lanczos-warm-start
 // discipline end to end: a full problem-(4) selection must return the
-// identical design for 1 and 4 workers and across repeated runs, on both
-// approximate backends (sparse, which carries LP bases; sketch, which
-// additionally carries Ritz warm starts).
+// identical design for 1 and 4 workers and across repeated runs on the
+// sketch backend, which carries LP bases and Ritz warm starts.
 func TestCarriedWarmStartDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("57-bus selections take seconds")
@@ -134,34 +133,33 @@ func TestCarriedWarmStartDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []GammaBackend{SparseGamma, SketchGamma} {
-		var ref *Selection
-		for run := 0; run < 2; run++ {
-			for _, par := range []int{1, 4} {
-				eng := NewEnginesSharedBackend(n, xOld, de, backend)
-				sel, err := SelectMTDWith(eng, n, xOld, SelectConfig{
-					GammaThreshold: 0.05,
-					Starts:         2,
-					MaxEvals:       30,
-					Seed:           5,
-					BaselineCost:   1,
-					Parallelism:    par,
-				})
-				if err != nil {
-					t.Fatalf("%v run %d parallelism %d: %v", backend, run, par, err)
-				}
-				if ref == nil {
-					ref = sel
-					continue
-				}
-				if sel.Gamma != ref.Gamma {
-					t.Fatalf("%v run %d parallelism %d: γ %v != reference %v", backend, run, par, sel.Gamma, ref.Gamma)
-				}
-				for i := range ref.Reactances {
-					if sel.Reactances[i] != ref.Reactances[i] {
-						t.Fatalf("%v run %d parallelism %d: reactance %d differs: %v vs %v",
-							backend, run, par, i, sel.Reactances[i], ref.Reactances[i])
-					}
+	backend := SketchGamma
+	var ref *Selection
+	for run := 0; run < 2; run++ {
+		for _, par := range []int{1, 4} {
+			eng := NewEnginesSharedBackend(n, xOld, de, backend)
+			sel, err := SelectMTDWith(eng, n, xOld, SelectConfig{
+				GammaThreshold: 0.05,
+				Starts:         2,
+				MaxEvals:       30,
+				Seed:           5,
+				BaselineCost:   1,
+				Parallelism:    par,
+			})
+			if err != nil {
+				t.Fatalf("%v run %d parallelism %d: %v", backend, run, par, err)
+			}
+			if ref == nil {
+				ref = sel
+				continue
+			}
+			if sel.Gamma != ref.Gamma {
+				t.Fatalf("%v run %d parallelism %d: γ %v != reference %v", backend, run, par, sel.Gamma, ref.Gamma)
+			}
+			for i := range ref.Reactances {
+				if sel.Reactances[i] != ref.Reactances[i] {
+					t.Fatalf("%v run %d parallelism %d: reactance %d differs: %v vs %v",
+						backend, run, par, i, sel.Reactances[i], ref.Reactances[i])
 				}
 			}
 		}

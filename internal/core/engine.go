@@ -10,16 +10,15 @@ import (
 
 // GammaBackend selects the γ-evaluation strategy (re-exported from the
 // subspace layer so the scenario/planner layers and the facade never
-// import subspace directly): the exact reference evaluator, the CSC-aware
-// sparse Gram-Schmidt, or the randomized sketch. See subspace.GammaBackend
-// for the per-backend contracts.
+// import subspace directly): the exact reference evaluator or the
+// randomized sketch. See subspace.GammaBackend for the per-backend
+// contracts.
 type GammaBackend = subspace.GammaBackend
 
 // γ-backend choices for NewGammaEvaluatorBackend and the -gamma flag.
 const (
 	AutoGamma   = subspace.AutoGamma
 	ExactGamma  = subspace.ExactGamma
-	SparseGamma = subspace.SparseGamma
 	SketchGamma = subspace.SketchGamma
 )
 
@@ -42,9 +41,6 @@ const (
 //     representation run under the 1e-9-agreement contract, following the
 //     resolved grid backend (-backend dense keeps the bitwise path even on
 //     large cases).
-//   - SparseGamma: CSC-aware Gram-Schmidt over the reduced rows, skipping
-//     structural zeros via topology-fixed column supports. 1e-9 agreement
-//     with the exact evaluator.
 //   - SketchGamma: the sparse-Gram Cholesky + seeded-Lanczos evaluator
 //     (subspace.SketchEvaluator) — no dense basis is formed at all. It
 //     carries the documented sketch error bound, is deterministic per
@@ -53,10 +49,9 @@ const (
 //     the winning candidate exactly, so reported γ values stay exact.
 type GammaEvaluator struct {
 	n       *grid.Network
-	backend GammaBackend // resolved: Exact, Sparse or Sketch
+	backend GammaBackend // resolved: Exact or Sketch
 	fast    bool         // exact-path kernel family (the grid-backend seam)
 	qOld    *subspace.Basis
-	basisBk subspace.BasisBackend     // candidate orthonormalizer (exact/sparse)
 	sketch  *subspace.SketchEvaluator // non-nil iff backend == SketchGamma
 	pool    sync.Pool                 // *gammaWorkspace
 }
@@ -91,8 +86,7 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 	fast := grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend
 	e := &GammaEvaluator{n: n, backend: gb, fast: fast}
 
-	switch gb {
-	case SketchGamma:
+	if gb == SketchGamma {
 		et, g := n.GammaSketchOperands()
 		d := make([]float64, n.L())
 		invInto(d, xOld)
@@ -102,51 +96,36 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 		} else {
 			e.sketch = sk
 		}
-		// The exact side below doubles as the sketch's fallback (and the
-		// SelectMTD/MaxGamma winner re-check), so it is always prepared.
-	case SparseGamma:
-		ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-		n.MeasurementMatrixTGammaInto(xOld, ht)
-		e.basisBk = subspace.NewSparseBasisBackend(ht)
-		var ws subspace.Workspace
-		ws.Backend = e.basisBk
-		e.qOld = ws.BasisT(ht, 0)
 	}
 
-	if e.qOld == nil {
-		// Exact x_old basis (also the sketch fallback side).
-		if fast {
-			// The fast path works in the reduced γ-equivalent representation
-			// (flow block once, √2-weighted): identical angles from 38% fewer
-			// reduction rows — see Network.MeasurementMatrixTGammaInto.
-			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-			n.MeasurementMatrixTGammaInto(xOld, ht)
-			e.qOld = subspace.ComputeBasisTFast(ht, 0)
-		} else {
-			ht := mat.NewDense(n.N()-1, n.M())
-			n.MeasurementMatrixTInto(xOld, ht)
-			e.qOld = subspace.ComputeBasisT(ht, 0)
-		}
+	// Exact x_old basis. It doubles as the sketch's fallback side (and the
+	// SelectMTD/MaxGamma winner re-check), so it is always prepared.
+	if fast {
+		// The fast path works in the reduced γ-equivalent representation
+		// (flow block once, √2-weighted): identical angles from 38% fewer
+		// reduction rows — see Network.MeasurementMatrixTGammaInto.
+		ht := mat.NewDense(n.N()-1, n.GammaAmbient())
+		n.MeasurementMatrixTGammaInto(xOld, ht)
+		e.qOld = subspace.ComputeBasisTFast(ht, 0)
+	} else {
+		ht := mat.NewDense(n.N()-1, n.M())
+		n.MeasurementMatrixTInto(xOld, ht)
+		e.qOld = subspace.ComputeBasisT(ht, 0)
 	}
 
 	e.pool.New = func() any {
 		cols := n.M()
-		if e.exactReduced() || e.backend == SparseGamma {
+		if e.exactReduced() {
 			cols = n.GammaAmbient()
 		}
 		w := &gammaWorkspace{
 			ht:    mat.NewDense(n.N()-1, cols),
 			xFull: make([]float64, n.L()),
 		}
-		switch e.backend {
-		case SparseGamma:
-			w.ws.Backend = e.basisBk
-		case SketchGamma:
-			w.ws.Fast = e.fast
+		w.ws.Fast = e.fast
+		if e.backend == SketchGamma {
 			w.d = make([]float64, n.L())
 			w.sketch = e.sketch.NewSession()
-		default:
-			w.ws.Fast = e.fast
 		}
 		return w
 	}
@@ -191,16 +170,10 @@ func (e *GammaEvaluator) GammaDFACTS(xd []float64) float64 {
 // GammaExact returns γ through the exact path regardless of the
 // evaluator's backend — the re-check SelectMTD/MaxGamma apply to a
 // sketch-guided winner, and the reference the agreement tests compare
-// against. For exact and sparse evaluators it is the regular evaluation
-// (the sparse backend's 1e-9 contract needs no re-check).
+// against. For exact evaluators it is the regular evaluation.
 func (e *GammaEvaluator) GammaExact(x []float64) float64 {
 	w := e.pool.Get().(*gammaWorkspace)
-	var g float64
-	if e.backend == SketchGamma {
-		g = e.exactGamma(w, x)
-	} else {
-		g = e.gamma(w, x)
-	}
+	g := e.exactGamma(w, x)
 	e.pool.Put(w)
 	return g
 }
@@ -209,46 +182,31 @@ func (e *GammaEvaluator) GammaExact(x []float64) float64 {
 func (e *GammaEvaluator) GammaDFACTSExact(xd []float64) float64 {
 	w := e.pool.Get().(*gammaWorkspace)
 	e.n.ExpandDFACTSInto(xd, w.xFull)
-	var g float64
-	if e.backend == SketchGamma {
-		g = e.exactGamma(w, w.xFull)
-	} else {
-		g = e.gamma(w, w.xFull)
-	}
+	g := e.exactGamma(w, w.xFull)
 	e.pool.Put(w)
 	return g
 }
 
 func (e *GammaEvaluator) gamma(w *gammaWorkspace, x []float64) float64 {
-	switch e.backend {
-	case SketchGamma:
+	if e.backend == SketchGamma {
 		if g, ok := w.sketch.Gamma(invInto(w.d, x)); ok {
 			return g
 		}
-		return e.exactGamma(w, x) // automatic exact fallback
-	case SparseGamma:
-		e.n.MeasurementMatrixTGammaInto(x, w.ht)
-		qNew := w.ws.BasisT(w.ht, 0)
-		return w.ws.GammaBases(e.qOld, qNew)
-	default:
-		return e.exactGamma(w, x)
+		// Automatic exact fallback.
 	}
+	return e.exactGamma(w, x)
 }
 
-// exactGamma is the reference candidate evaluation (the pre-backend-layer
-// path): dense MGS on the bitwise or fast kernel family per the grid seam.
+// exactGamma is the reference candidate evaluation: dense MGS on the
+// bitwise or fast kernel family per the grid seam.
 func (e *GammaEvaluator) exactGamma(w *gammaWorkspace, x []float64) float64 {
-	saved := w.ws.Backend
-	w.ws.Backend = nil // exact path honors ws.Fast
 	if e.exactReduced() {
 		e.n.MeasurementMatrixTGammaInto(x, w.ht)
 	} else {
 		e.n.MeasurementMatrixTInto(x, w.ht)
 	}
 	qNew := w.ws.BasisT(w.ht, 0)
-	g := w.ws.GammaBases(e.qOld, qNew)
-	w.ws.Backend = saved
-	return g
+	return w.ws.GammaBases(e.qOld, qNew)
 }
 
 // GammaSession is a single-goroutine view of a GammaEvaluator: it owns one
@@ -271,7 +229,7 @@ func (e *GammaEvaluator) NewSession() *GammaSession {
 }
 
 // CarryWarmStarts enables Lanczos warm-start carrying on a sketch-backend
-// session (no-op on exact/sparse backends, whose evaluations have no
+// session (no-op on the exact backend, whose evaluations have no
 // iterative state to carry). See subspace.SketchSession.CarryWarmStarts for
 // the determinism obligations.
 func (s *GammaSession) CarryWarmStarts() {
@@ -281,8 +239,8 @@ func (s *GammaSession) CarryWarmStarts() {
 }
 
 // ResetWarmStart discards any carried Lanczos warm start, so the session's
-// next evaluation is identical to a fresh session's. No-op on exact/sparse
-// backends.
+// next evaluation is identical to a fresh session's. No-op on the exact
+// backend.
 func (s *GammaSession) ResetWarmStart() {
 	if s.w.sketch != nil {
 		s.w.sketch.ResetWarmStart()

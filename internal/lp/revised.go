@@ -53,21 +53,14 @@ type RevisedStats struct {
 	// retry, or the exact re-derivation before an answer is accepted).
 	Refactorizations int
 	// SEPivots counts the dual pivots whose leaving row was chosen by the
-	// Devex-weighted steepest-edge rule (as opposed to Bland scans, either
-	// because the rule was configured or as the anti-cycling fallback).
+	// Devex-weighted steepest-edge rule (as opposed to Bland scans, the
+	// anti-cycling fallback).
 	SEPivots int
-	// WeightResets counts steepest-edge reference-weight resets: the Devex
-	// weights restart at 1 on every refactorization, so this tracks
-	// Refactorizations while steepest-edge pricing is active.
-	WeightResets int
 	// BoundFlips counts nonbasic bound flips applied by the dual
 	// bound-flipping ratio test (long-step dual pivots absorb several
 	// breakpoints into one basis exchange; each absorbed breakpoint is one
 	// flip).
 	BoundFlips int
-	// SparseFactors counts working-matrix refactorizations routed through
-	// the sparse LU (density-gated; see SetSparseLU).
-	SparseFactors int
 	// PrescreenHits counts Solve calls answered by the Farkas-ray
 	// pre-screen: a recycled infeasibility certificate, revalidated
 	// exactly against the call's own problem data, proved the problem
@@ -83,40 +76,11 @@ type RevisedStats struct {
 	// in a certified ErrInfeasible — the pre-screen's remaining misses;
 	// each is also a ray-capture opportunity.
 	InfeasibleSolves int
-	// BoundProbes counts DualBoundExceeds calls: incumbent-basis
-	// weak-duality bound evaluations run instead of (potentially) a full
-	// solve.
-	BoundProbes int
-	// BoundScreens counts the probes that certified the candidate's
-	// optimal cost above the caller's threshold — each one a simplex run
-	// the search skipped. Screened probes never touch Solves.
-	BoundScreens int
+	// BoundProbes and BoundScreens belonged to the retired dual-bound
+	// screen and nothing increments them; they stay only because the
+	// benchmark still reads them, and go with its next revision.
+	BoundProbes, BoundScreens int
 }
-
-// PricingRule selects how the dual simplex picks its leaving row (and
-// whether the entering ratio test may flip bounds).
-type PricingRule int8
-
-const (
-	// PriceAuto resolves to PriceSteepestEdge — the warm-path default.
-	PriceAuto PricingRule = iota
-	// PriceBland is the historical rule: smallest-index violated basic
-	// variable, smallest-ratio entering column with index tie-breaks, no
-	// bound flips. It is the anti-cycling reference the agreement tests
-	// compare against.
-	PriceBland
-	// PriceDantzig picks the most-violated basic variable (largest bound
-	// violation, unweighted) with the bound-flipping ratio test.
-	PriceDantzig
-	// PriceSteepestEdge picks the leaving row maximizing violation²/β via
-	// Devex reference weights β approximating the dual steepest-edge norms
-	// ‖B⁻ᵀe_i‖². Weights reset to 1 at every refactorization, so the
-	// pivot-path heuristic never outlives the factorization it was
-	// accumulated against; answers are still only accepted on freshly
-	// re-derived numbers, keeping the 1e-9 warm/cold agreement contract
-	// and the Farkas-certificate trust rule unchanged.
-	PriceSteepestEdge
-)
 
 // Variable statuses of the bounded-variable revised simplex. Slack
 // variables (one per inequality row, bounds [0, +Inf)) follow the
@@ -195,22 +159,12 @@ type RevisedSolver struct {
 	isBasicCol  []bool // length n
 	w           mat.Dense
 	lu          mat.LU
-	// Sparse working-matrix route: enabled by SetSparseLU, taken per
-	// refactorization when the working matrix passes the density gate,
-	// with the dense LU as the pivot-failure fallback.
-	sparseLUOn   bool
-	sparseActive bool
-	slu          mat.SparseLU
 	// abasic is the contiguous gather of the basic structural columns over
 	// the inactive rows, rebuilt at each refactorization:
 	// abasic[t*k+b] = A[inactiveRows[t], basicStruct[b]]. The ftran/btran
 	// inactive-row sweeps run on these contiguous k-vectors instead of
 	// indexed gathers through the problem's row views.
 	abasic []float64
-	// factorHook, when non-nil, observes every working matrix right after
-	// it is assembled — a testing seam for capturing the real working
-	// matrices a workload factors.
-	factorHook func(w *mat.Dense)
 	// Product-form eta file: basis B = B₀·E₁·…·E_t where B₀ is the frozen
 	// factorization above and each Eᵢ is the identity with basis position
 	// etaPos[i] replaced by the column etaBuf[i·m:(i+1)·m] (m = nEq+nUb).
@@ -223,10 +177,12 @@ type RevisedSolver struct {
 	varAt, posOf []int
 	inactiveRows []int
 	fresh        bool // x and d were recomputed from a fresh factorization
-	// Pricing state: the configured rule, the Devex reference weights per
-	// basis position (reset to 1 at every refactorization), and the
-	// bound-flipping ratio-test scratch.
-	pricing PricingRule
+	// Pricing state: the Devex reference weights per basis position (reset
+	// to 1 at every refactorization) and the bound-flipping ratio-test
+	// scratch. bland forces the dual loop onto Bland's rule from the first
+	// iteration instead of only past half the budget; tests set it to keep
+	// the anti-cycling path covered.
+	bland   bool
 	dw      []float64
 	cands   []dualCand
 	flips   []int
@@ -240,11 +196,6 @@ type RevisedSolver struct {
 	// validity.
 	rays                []farkasRay
 	rayScratch, rayCand []float64
-	// Dual-bound certificates (see dualbound.go): recent verified optimal
-	// dual solutions, MRU-ordered. Like the Farkas index they survive
-	// Invalidate — a weak-duality bound is recomputed exactly against
-	// each candidate's own data, so certificate origin never matters.
-	certs []dualCert
 	// Scratch vectors sized to the working dimension k, m or nTot.
 	rhs, sol, yAct, colAct, alpha []float64
 	col, posv, pi                 []float64
@@ -326,62 +277,6 @@ func (s *RevisedSolver) effMaxUpdates() int {
 		return defaultMaxUpdates
 	}
 	return s.maxUpdates
-}
-
-// SetPricing selects the dual pricing rule. PriceAuto (the zero value)
-// resolves to steepest-edge — the warm-path default.
-func (s *RevisedSolver) SetPricing(r PricingRule) { s.pricing = r }
-
-// SetSparseLU enables the sparse working-matrix factorization route. Each
-// refactorization then measures the working matrix's density and factors
-// through mat.SparseLU when it is sparse enough to win
-// (≤ sparseLUMaxDensity nonzeros at dimension ≥ sparseLUMinDim); a sparse
-// pivot failure falls back to the dense LU within the same
-// refactorization, so enabling the route never changes which problems
-// solve. Dispatch LPs condense the grid through dense PTDF rows, so their
-// working matrices typically fail the gate and stay dense — the route
-// pays off for structurally sparse constraint systems.
-func (s *RevisedSolver) SetSparseLU(on bool) { s.sparseLUOn = on }
-
-// SetFactorHook installs a callback observing every working matrix right
-// after assembly, before it is factored. Testing seam: the sparse-LU suite
-// uses it to capture the actual working matrices of real selections. A nil
-// hook disables it.
-func (s *RevisedSolver) SetFactorHook(h func(w *mat.Dense)) { s.factorHook = h }
-
-const (
-	// sparseLUMinDim is the smallest working dimension worth the sparse
-	// factorization's symbolic overhead.
-	sparseLUMinDim = 32
-	// sparseLUMaxDensity routes matrices with at most this nonzero
-	// fraction to the sparse LU.
-	sparseLUMaxDensity = 0.25
-)
-
-// wSolveInto solves W·x = b through whichever factorization the last
-// refactorization produced.
-func (s *RevisedSolver) wSolveInto(dst, b []float64) {
-	if s.sparseActive {
-		s.slu.SolveInto(dst, b)
-		return
-	}
-	s.lu.SolveInto(dst, b)
-}
-
-// wSolveTransposeInto solves Wᵀ·x = b through the active factorization.
-func (s *RevisedSolver) wSolveTransposeInto(dst, b []float64) {
-	if s.sparseActive {
-		s.slu.SolveTransposeInto(dst, b)
-		return
-	}
-	s.lu.SolveTransposeInto(dst, b)
-}
-
-func (s *RevisedSolver) effPricing() PricingRule {
-	if s.pricing == PriceAuto {
-		return PriceSteepestEdge
-	}
-	return s.pricing
 }
 
 // Solve solves the problem, warm-starting from the previous optimal basis
@@ -659,11 +554,6 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	if !s.verify(p) {
 		return nil, errWarmFallback
 	}
-	// The verified optimum's dual solution is a reusable weak-duality
-	// bound certificate for future candidates (see dualbound.go). The
-	// loops above only accept on a fresh factorization, so
-	// s.yAct/s.activeRows still describe the final basis exactly.
-	s.captureDualCert()
 	xOut := make([]float64, n)
 	copy(xOut, s.x[:n])
 	return &Solution{X: xOut, Objective: mat.Dot(p.C, xOut), Status: StatusOptimal}, nil
@@ -785,16 +675,12 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 	s.etaPos = s.etaPos[:0]
 	s.etaBuf = s.etaBuf[:0]
 	s.stats.Refactorizations++
-	if s.effPricing() == PriceSteepestEdge {
-		// Devex reference framework restart: the weights approximate dual
-		// steepest-edge norms relative to the factorization they were
-		// accumulated against, so every refactorization re-references them
-		// at 1.
-		s.dw = growF(s.dw, m)
-		for i := range s.dw {
-			s.dw[i] = 1
-		}
-		s.stats.WeightResets++
+	// Devex reference framework restart: the weights approximate dual
+	// steepest-edge norms relative to the factorization they were
+	// accumulated against, so every refactorization re-references them at 1.
+	s.dw = growF(s.dw, m)
+	for i := range s.dw {
+		s.dw[i] = 1
 	}
 
 	// Contiguous gather of the basic structural columns over the inactive
@@ -812,31 +698,15 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 
 	s.w.ReuseAs(k, k)
 	wd := s.w.RawData()
-	nnz := 0
 	for a, r := range s.activeRows {
 		rv := s.rowView(p, r)
 		row := wd[a*k : (a+1)*k]
 		for b, j := range s.basicStruct {
 			row[b] = rv[j]
-			if rv[j] != 0 {
-				nnz++
-			}
 		}
-	}
-	s.sparseActive = false
-	if s.factorHook != nil && k > 0 {
-		s.factorHook(&s.w)
 	}
 	if k == 0 {
 		return nil
-	}
-	if s.sparseLUOn && k >= sparseLUMinDim && nnz <= int(sparseLUMaxDensity*float64(k*k)) {
-		if s.slu.Reset(&s.w) == nil {
-			s.sparseActive = true
-			s.stats.SparseFactors++
-			return nil
-		}
-		// Sparse pivot failure: fall through to the dense factorization.
 	}
 	return s.lu.Reset(&s.w)
 }
@@ -881,7 +751,7 @@ func (s *RevisedSolver) computeX(p *Problem) {
 		s.rhs[a] = sum
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.rhs)
+		s.lu.SolveInto(s.sol, s.rhs)
 		for b, j := range s.basicStruct {
 			s.x[j] = s.sol[b]
 		}
@@ -910,7 +780,7 @@ func (s *RevisedSolver) computeDualsAndReducedCosts(p *Problem) {
 		s.rhs[b] = s.c[j]
 	}
 	if k > 0 {
-		s.wSolveTransposeInto(s.yAct, s.rhs)
+		s.lu.SolveTransposeInto(s.yAct, s.rhs)
 	}
 	copy(s.d[:n], s.c[:n])
 	for i := 0; i < nUb; i++ {
@@ -1020,7 +890,7 @@ func (s *RevisedSolver) ftran(p *Problem, q int) []float64 {
 		}
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.colAct)
+		s.lu.SolveInto(s.sol, s.colAct)
 	}
 	s.col = growF(s.col, m)
 	copy(s.col, s.sol[:k])
@@ -1092,7 +962,7 @@ func (s *RevisedSolver) btranUnit(p *Problem, pos int) []float64 {
 			mat.AxpyVec(-pr, s.abasic[t*k:(t+1)*k], s.rhs[:k])
 		}
 		s.yAct = growF(s.yAct, k)
-		s.wSolveTransposeInto(s.yAct, s.rhs)
+		s.lu.SolveTransposeInto(s.yAct, s.rhs)
 		for a, r := range s.activeRows {
 			s.pi[r] = s.yAct[a]
 		}
@@ -1342,13 +1212,12 @@ func (s *RevisedSolver) primalLoop(p *Problem) error {
 func (s *RevisedSolver) dualLoop(p *Problem) error {
 	nTot := s.sigN + s.sigUb
 	m := s.sigEq + s.sigUb
-	rule := s.effPricing()
 	for iter := 0; iter < warmMaxIter; iter++ {
-		// Past half the iteration budget the loop abandons the weighted
-		// rules for Bland's — the anti-cycling guarantee the pricing
-		// heuristics lack. The selection rule only steers the pivot path;
-		// the answer is still accepted only on freshly re-derived numbers.
-		bland := rule == PriceBland || iter >= warmMaxIter/2
+		// Past half the iteration budget the loop abandons Devex for
+		// Bland's rule — the anti-cycling guarantee the weighted pricing
+		// lacks. The selection rule only steers the pivot path; the answer
+		// is still accepted only on freshly re-derived numbers.
+		bland := s.bland || iter >= warmMaxIter/2
 
 		// Leaving variable.
 		leave := -1
@@ -1371,8 +1240,8 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				}
 			}
 		} else {
-			// Most-violated row, violation²/β-weighted under steepest-edge,
-			// with a deterministic smallest-variable tie-break.
+			// Devex: the row maximizing violation²/β, with a deterministic
+			// smallest-variable tie-break.
 			best := 0.0
 			for b := 0; b < m; b++ {
 				j := s.varAt[b]
@@ -1386,10 +1255,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				default:
 					continue
 				}
-				score := v
-				if rule == PriceSteepestEdge {
-					score = v * v / s.dw[b]
-				}
+				score := v * v / s.dw[b]
 				if leave < 0 || score > best || (score == best && j < leave) {
 					best, leave, belowLower, viol = score, j, bl, v
 				}
@@ -1516,7 +1382,6 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				s.applyFlips(p)
 			}
 		}
-		useSE := !bland && rule == PriceSteepestEdge
 		w := s.ftran(p, enter)
 		if s.effMaxUpdates() == 0 || etaSpike(w, pos) {
 			if len(s.etaPos) > 0 {
@@ -1526,7 +1391,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				continue
 			}
 			s.stats.DualPivots++
-			if useSE {
+			if !bland {
 				s.stats.SEPivots++
 			}
 			s.status[enter] = stBasic
@@ -1548,7 +1413,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 		}
 		delta := (s.x[leave] - bound) / w[pos]
 		s.stats.DualPivots++
-		if useSE {
+		if !bland {
 			s.stats.SEPivots++
 			s.devexUpdate(w, pos, m)
 		}
@@ -1641,7 +1506,7 @@ func (s *RevisedSolver) ftranRows(p *Problem, col []float64) []float64 {
 		s.colAct[a] = col[r]
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.colAct)
+		s.lu.SolveInto(s.sol, s.colAct)
 	}
 	s.fcol = growF(s.fcol, m)
 	copy(s.fcol, s.sol[:k])

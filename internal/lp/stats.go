@@ -10,13 +10,11 @@ import "sync/atomic"
 // aggregates them for the whole process. The flush is one batch of atomic
 // adds per Solve call, so the hot pivot loops never touch shared memory.
 type globalStats struct {
-	solves, warm, cold, fallbacks      atomic.Int64
-	primal, dual, etaUpdates, refacts  atomic.Int64
-	sePivots, weightResets, boundFlips atomic.Int64
-	sparseFactors, prescreens          atomic.Int64
-	prescreenProbes                    atomic.Int64
-	infeasibles                        atomic.Int64
-	boundProbes, boundScreens          atomic.Int64
+	solves, warm, cold, fallbacks     atomic.Int64
+	primal, dual, etaUpdates, refacts atomic.Int64
+	sePivots, boundFlips              atomic.Int64
+	prescreens, prescreenProbes       atomic.Int64
+	infeasibles                       atomic.Int64
 }
 
 var global globalStats
@@ -34,14 +32,10 @@ func GlobalRevisedStats() RevisedStats {
 		EtaUpdates:       int(global.etaUpdates.Load()),
 		Refactorizations: int(global.refacts.Load()),
 		SEPivots:         int(global.sePivots.Load()),
-		WeightResets:     int(global.weightResets.Load()),
 		BoundFlips:       int(global.boundFlips.Load()),
-		SparseFactors:    int(global.sparseFactors.Load()),
 		PrescreenHits:    int(global.prescreens.Load()),
 		PrescreenProbes:  int(global.prescreenProbes.Load()),
 		InfeasibleSolves: int(global.infeasibles.Load()),
-		BoundProbes:      int(global.boundProbes.Load()),
-		BoundScreens:     int(global.boundScreens.Load()),
 	}
 }
 
@@ -64,14 +58,10 @@ func (s RevisedStats) Delta(since RevisedStats) RevisedStats {
 		EtaUpdates:       s.EtaUpdates - since.EtaUpdates,
 		Refactorizations: s.Refactorizations - since.Refactorizations,
 		SEPivots:         s.SEPivots - since.SEPivots,
-		WeightResets:     s.WeightResets - since.WeightResets,
 		BoundFlips:       s.BoundFlips - since.BoundFlips,
-		SparseFactors:    s.SparseFactors - since.SparseFactors,
 		PrescreenHits:    s.PrescreenHits - since.PrescreenHits,
 		PrescreenProbes:  s.PrescreenProbes - since.PrescreenProbes,
 		InfeasibleSolves: s.InfeasibleSolves - since.InfeasibleSolves,
-		BoundProbes:      s.BoundProbes - since.BoundProbes,
-		BoundScreens:     s.BoundScreens - since.BoundScreens,
 	}
 }
 
@@ -88,13 +78,9 @@ func (s *RevisedSolver) flushStats() {
 	global.etaUpdates.Add(int64(d.EtaUpdates - f.EtaUpdates))
 	global.refacts.Add(int64(d.Refactorizations - f.Refactorizations))
 	global.sePivots.Add(int64(d.SEPivots - f.SEPivots))
-	global.weightResets.Add(int64(d.WeightResets - f.WeightResets))
 	global.boundFlips.Add(int64(d.BoundFlips - f.BoundFlips))
-	global.sparseFactors.Add(int64(d.SparseFactors - f.SparseFactors))
 	global.prescreens.Add(int64(d.PrescreenHits - f.PrescreenHits))
 	global.prescreenProbes.Add(int64(d.PrescreenProbes - f.PrescreenProbes))
 	global.infeasibles.Add(int64(d.InfeasibleSolves - f.InfeasibleSolves))
-	global.boundProbes.Add(int64(d.BoundProbes - f.BoundProbes))
-	global.boundScreens.Add(int64(d.BoundScreens - f.BoundScreens))
 	s.flushed = d
 }

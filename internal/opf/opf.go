@@ -107,7 +107,7 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 	// sparse path the warm LP basis is scoped to one local search so the
 	// result is identical for every worker count. The driver-level
 	// objective comes from the same factory — one definition.
-	newWorker := func() (optimize.Objective, optimize.ThresholdEval, func()) {
+	newWorker := func() (optimize.Objective, func()) {
 		s := engine.NewSession()
 		obj := func(xd []float64) float64 {
 			cost, err := s.Cost(n.ExpandDFACTS(xd))
@@ -116,28 +116,9 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 			}
 			return cost
 		}
-		if engine.Backend() != grid.SparseBackend {
-			return obj, nil, s.ResetWarmStart
-		}
-		// Sparse path: the objective IS the dispatch cost, so the
-		// dual-bound screen applies to every threshold-bearing
-		// evaluation. The screen is only valid below the infeasibility
-		// sentinel (errors map to exactly InfeasibleObjective, so
-		// "cost > threshold" implies "objective > threshold" only when
-		// threshold < InfeasibleObjective).
-		te := func(xd []float64, threshold float64) (float64, bool) {
-			if threshold >= optimize.InfeasibleObjective {
-				return obj(xd), false
-			}
-			cost, screened, err := s.CostOrBound(n.ExpandDFACTS(xd), threshold)
-			if err != nil {
-				return optimize.InfeasibleObjective, false
-			}
-			return cost, screened
-		}
-		return obj, te, s.ResetWarmStart
+		return obj, s.ResetWarmStart
 	}
-	obj, _, _ := newWorker()
+	obj, _ := newWorker()
 	local := func(f optimize.Objective, x0 []float64) (*optimize.Result, error) {
 		return optimize.NelderMead(f, x0, optimize.NMConfig{MaxEvals: cfg.MaxEvals})
 	}
@@ -154,11 +135,8 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 		// random restart must beat the incumbent initial-point optimum at
 		// its start point to earn a Nelder-Mead budget. The dense path
 		// keeps the historical every-start search bitwise.
-		ScreenRestarts:    engine.Backend() == grid.SparseBackend,
-		NewWorkerScreened: newWorker,
-		ScreenedLocal: func(f optimize.Objective, screen optimize.ThresholdEval, x0 []float64) (*optimize.Result, error) {
-			return optimize.NelderMead(f, x0, optimize.NMConfig{MaxEvals: cfg.MaxEvals, Screen: screen})
-		},
+		ScreenRestarts:     engine.Backend() == grid.SparseBackend,
+		NewWorkerObjective: newWorker,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("opf: D-FACTS search: %w", err)

@@ -10,12 +10,12 @@ import (
 	"gridmtd/internal/lp"
 )
 
-// pricingAgreeCase drives two warm revised solvers — dual steepest-edge
-// and Dantzig pricing — through the same perturbed-reactance dispatch-LP
-// walk of a registered case, cross-checking both against a fresh flat
-// tableau solve: 1e-9 objective agreement and identical feasibility
-// verdicts regardless of the pivot order the pricing rule picks.
-func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (seStats, dzStats lp.RevisedStats) {
+// pricingAgreeCase drives a warm revised solver (Devex dual pricing)
+// through a perturbed-reactance dispatch-LP walk of a registered case,
+// cross-checking every answer against a fresh flat tableau solve — the
+// reference implementation: 1e-9 objective agreement and identical
+// feasibility verdicts regardless of the pivot order Devex picks.
+func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) {
 	t.Helper()
 	n, err := grid.CaseByName(caseName)
 	if err != nil {
@@ -25,12 +25,8 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 	if err != nil {
 		t.Fatal(err)
 	}
-	seW := eng.pool.New().(*dispatchWorkspace)
-	dzW := eng.pool.New().(*dispatchWorkspace)
+	dvW := eng.pool.New().(*dispatchWorkspace)
 	refW := eng.pool.New().(*dispatchWorkspace)
-	seW.rsolver.SetPricing(lp.PriceSteepestEdge)
-	dzW.rsolver.SetPricing(lp.PriceDantzig)
-	coldSolver := lp.NewSolver()
 
 	rng := rand.New(rand.NewSource(17))
 	lo, hi := n.DFACTSBounds()
@@ -50,62 +46,61 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 			}
 		}
 		x := n.ExpandDFACTS(xd)
-		solveWith := func(w *dispatchWorkspace) (float64, error) {
-			prob, err := eng.buildProblem(w, x)
-			if err != nil {
-				t.Fatalf("trial %d: build: %v", trial, err)
-			}
-			sol, err := w.rsolver.Solve(prob)
-			if err != nil {
-				return 0, err
-			}
-			return sol.Objective, nil
-		}
-		seObj, seErr := solveWith(seW)
-		dzObj, dzErr := solveWith(dzW)
-		refProb, err := eng.buildProblem(refW, x)
-		if err != nil {
-			t.Fatalf("trial %d: build (ref): %v", trial, err)
-		}
-		refSol, refErr := coldSolver.Solve(refProb)
-		if (seErr == nil) != (refErr == nil) || (dzErr == nil) != (refErr == nil) {
-			t.Fatalf("trial %d: verdicts disagree: se=%v dantzig=%v flat=%v", trial, seErr, dzErr, refErr)
+		dvObj, refObj, dvErr, refErr := devexAndFlat(t, eng, dvW, refW, x)
+		if (dvErr == nil) != (refErr == nil) {
+			t.Fatalf("trial %d: verdicts disagree: devex=%v flat=%v", trial, dvErr, refErr)
 		}
 		if refErr != nil {
-			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(dzErr, lp.ErrInfeasible) {
-				t.Fatalf("trial %d: unexpected errors se=%v dantzig=%v", trial, seErr, dzErr)
+			if !errors.Is(dvErr, lp.ErrInfeasible) {
+				t.Fatalf("trial %d: unexpected error devex=%v", trial, dvErr)
 			}
 			continue
 		}
 		checked++
-		scale := 1 + math.Abs(refSol.Objective)
-		if d := math.Abs(seObj - refSol.Objective); d > 1e-9*scale {
-			t.Fatalf("trial %d: steepest-edge %.15g vs flat %.15g (diff %.3g)", trial, seObj, refSol.Objective, d)
-		}
-		if d := math.Abs(dzObj - refSol.Objective); d > 1e-9*scale {
-			t.Fatalf("trial %d: dantzig %.15g vs flat %.15g (diff %.3g)", trial, dzObj, refSol.Objective, d)
+		if d := math.Abs(dvObj - refObj); d > 1e-9*(1+math.Abs(refObj)) {
+			t.Fatalf("trial %d: devex %.15g vs flat %.15g (diff %.3g)", trial, dvObj, refObj, d)
 		}
 	}
-	seStats, dzStats = seW.rsolver.Stats(), dzW.rsolver.Stats()
-	if seStats.SEPivots == 0 {
-		t.Fatalf("%s: steepest-edge pricing never engaged: %+v", caseName, seStats)
+	st := dvW.rsolver.Stats()
+	if st.SEPivots == 0 {
+		t.Fatalf("%s: Devex pricing never engaged: %+v", caseName, st)
 	}
-	if dzStats.SEPivots != 0 {
-		t.Fatalf("%s: Dantzig solver recorded steepest-edge pivots: %+v", caseName, dzStats)
+	t.Logf("%s: %d/%d feasible; Devex %+v", caseName, checked, count, st)
+}
+
+// devexAndFlat solves the dispatch LP at x twice: on dvW's warm revised
+// solver and on a fresh flat tableau solver over the same problem data.
+func devexAndFlat(t *testing.T, eng *DispatchEngine, dvW, refW *dispatchWorkspace, x []float64) (dvObj, refObj float64, dvErr, refErr error) {
+	t.Helper()
+	prob, err := eng.buildProblem(dvW, x)
+	if err != nil {
+		t.Fatalf("build: %v", err)
 	}
-	t.Logf("%s: %d/%d feasible; SE %+v; Dantzig %+v", caseName, checked, count, seStats, dzStats)
-	return seStats, dzStats
+	if sol, err := dvW.rsolver.Solve(prob); err != nil {
+		dvErr = err
+	} else {
+		dvObj = sol.Objective
+	}
+	refProb, err := eng.buildProblem(refW, x)
+	if err != nil {
+		t.Fatalf("build (ref): %v", err)
+	}
+	if sol, err := lp.NewSolver().Solve(refProb); err != nil {
+		refErr = err
+	} else {
+		refObj = sol.Objective
+	}
+	return dvObj, refObj, dvErr, refErr
 }
 
 // TestPricingAgreeIEEE57 cross-checks 100 perturbed-reactance dispatch LPs
-// on the 57-bus case under both pricing rules.
+// on the 57-bus case against the flat tableau.
 func TestPricingAgreeIEEE57(t *testing.T) {
 	pricingAgreeCase(t, "ieee57", 100, 0.05)
 }
 
 // TestPricingAgreeIEEE118 cross-checks 100 perturbed-reactance dispatch
-// LPs on the 118-bus case under both pricing rules (200 case LPs total
-// with the 57-bus walk — the PR's pricing-agreement property budget).
+// LPs on the 118-bus case against the flat tableau.
 func TestPricingAgreeIEEE118(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100 cold 118-bus tableau solves take seconds")
@@ -114,12 +109,14 @@ func TestPricingAgreeIEEE118(t *testing.T) {
 }
 
 // TestPricingInfeasibleCertificateIEEE300 pins the Farkas trust rule under
-// every pricing rule on real ieee300 candidates: the calibrated ratings
-// make the low-reactance corner of the D-FACTS box operationally
-// infeasible, and every pricing rule must return ErrInfeasible there — the
-// certificate is only ever accepted on a fresh factorization, so a pivot
-// order can delay the verdict but never change it — while agreeing to 1e-9
-// on the feasible probes.
+// Devex pricing on real ieee300 candidates: the calibrated ratings make
+// the low-reactance corner of the D-FACTS box operationally infeasible,
+// and the revised solver must return ErrInfeasible exactly where the flat
+// tableau does — the certificate is only ever accepted on a fresh
+// factorization, so a pivot order can delay the verdict but never change
+// it — while agreeing to 1e-9 on the feasible probes. The probes are the
+// two box corners and the midpoint: every flat ieee300 solve costs seconds
+// (tens of seconds under -race).
 func TestPricingInfeasibleCertificateIEEE300(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ieee300 dispatch probes take seconds")
@@ -132,56 +129,29 @@ func TestPricingInfeasibleCertificateIEEE300(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := map[string]*dispatchWorkspace{
-		"steepest-edge": eng.pool.New().(*dispatchWorkspace),
-		"dantzig":       eng.pool.New().(*dispatchWorkspace),
-		"bland":         eng.pool.New().(*dispatchWorkspace),
-	}
-	ws["steepest-edge"].rsolver.SetPricing(lp.PriceSteepestEdge)
-	ws["dantzig"].rsolver.SetPricing(lp.PriceDantzig)
-	ws["bland"].rsolver.SetPricing(lp.PriceBland)
+	dvW := eng.pool.New().(*dispatchWorkspace)
+	refW := eng.pool.New().(*dispatchWorkspace)
 	lo, hi := n.DFACTSBounds()
-	point := func(f float64) []float64 {
+	feasibleSeen, infeasibleSeen := 0, 0
+	for _, f := range []float64{0.0, 0.5, 1.0} {
 		xd := make([]float64, len(lo))
 		for i := range xd {
 			xd[i] = lo[i] + f*(hi[i]-lo[i])
 		}
-		return n.ExpandDFACTS(xd)
-	}
-	verdict := func(w *dispatchWorkspace, x []float64) (float64, error) {
-		prob, err := eng.buildProblem(w, x)
-		if err != nil {
-			t.Fatalf("build: %v", err)
+		dvObj, refObj, dvErr, refErr := devexAndFlat(t, eng, dvW, refW, n.ExpandDFACTS(xd))
+		if (dvErr == nil) != (refErr == nil) {
+			t.Fatalf("f=%g: verdicts disagree: devex=%v flat=%v", f, dvErr, refErr)
 		}
-		sol, err := w.rsolver.Solve(prob)
-		if err != nil {
-			return 0, err
-		}
-		return sol.Objective, nil
-	}
-	feasibleSeen, infeasibleSeen := 0, 0
-	for _, f := range []float64{0.0, 0.2, 0.5, 0.75, 1.0} {
-		x := point(f)
-		seObj, seErr := verdict(ws["steepest-edge"], x)
-		dzObj, dzErr := verdict(ws["dantzig"], x)
-		blObj, blErr := verdict(ws["bland"], x)
-		if (seErr == nil) != (dzErr == nil) || (seErr == nil) != (blErr == nil) {
-			t.Fatalf("f=%g: verdicts disagree: se=%v dantzig=%v bland=%v", f, seErr, dzErr, blErr)
-		}
-		if seErr != nil {
-			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(dzErr, lp.ErrInfeasible) || !errors.Is(blErr, lp.ErrInfeasible) {
-				t.Fatalf("f=%g: non-certificate errors: se=%v dantzig=%v bland=%v", f, seErr, dzErr, blErr)
+		if dvErr != nil {
+			if !errors.Is(dvErr, lp.ErrInfeasible) || !errors.Is(refErr, lp.ErrInfeasible) {
+				t.Fatalf("f=%g: non-certificate errors: devex=%v flat=%v", f, dvErr, refErr)
 			}
 			infeasibleSeen++
 			continue
 		}
 		feasibleSeen++
-		scale := 1 + math.Abs(seObj)
-		if d := math.Abs(dzObj - seObj); d > 1e-9*scale {
-			t.Fatalf("f=%g: dantzig %.15g vs steepest-edge %.15g", f, dzObj, seObj)
-		}
-		if d := math.Abs(blObj - seObj); d > 1e-9*scale {
-			t.Fatalf("f=%g: bland %.15g vs steepest-edge %.15g", f, blObj, seObj)
+		if d := math.Abs(dvObj - refObj); d > 1e-9*(1+math.Abs(refObj)) {
+			t.Fatalf("f=%g: devex %.15g vs flat %.15g", f, dvObj, refObj)
 		}
 	}
 	if infeasibleSeen == 0 || feasibleSeen == 0 {

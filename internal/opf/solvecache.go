@@ -121,21 +121,6 @@ func (e *DispatchEngine) solveKey(x []float64) string {
 	return string(b)
 }
 
-// peek returns the cache slot for key without creating one. A screened
-// candidate must leave no trace in the cache — an uncomputed slot would
-// pollute the LRU and distort the hit/miss economics — so the bound
-// probe looks before it leaps. An existing slot is touched as most
-// recently used.
-func (c *SolveCache) peek(key string) (e *solveEntry, ok bool) {
-	c.mu.Lock()
-	e, ok = c.entries[key]
-	if ok {
-		c.lru.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-	return e, ok
-}
-
 // entry returns the cache slot for key, creating (and LRU-evicting) as
 // needed. ok reports whether the slot already existed.
 func (c *SolveCache) entry(key string) (e *solveEntry, ok bool) {

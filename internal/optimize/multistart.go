@@ -97,24 +97,6 @@ type MSConfig struct {
 	// MultiStart up to that per-start state; a nil reset is allowed for
 	// stateless objectives.
 	NewWorkerObjective func() (Objective, func())
-	// NewWorkerScreened is NewWorkerObjective for objectives that also
-	// expose a threshold-aware evaluator (the dual-bound screen): it
-	// returns the worker's exact objective, its ThresholdEval, and the
-	// per-start reset hook. The ThresholdEval must agree with the
-	// objective — screened=false results equal the objective pointwise,
-	// and a screened verdict certifies the objective exceeds the
-	// threshold. When set it takes precedence over NewWorkerObjective;
-	// the restart screen then certifies losing restarts without an exact
-	// evaluation, and local searches run through ScreenedLocal when that
-	// is configured too.
-	NewWorkerScreened func() (Objective, ThresholdEval, func())
-	// ScreenedLocal, when non-nil alongside NewWorkerScreened, is the
-	// threshold-aware local minimizer (NelderMead with NMConfig.Screen):
-	// it receives the box-projected objective and ThresholdEval. The
-	// screened local search must return bitwise the Result of
-	// Local(f, x0) — the screen may only skip solve work, never alter
-	// the trajectory (see NMConfig.Screen). Falls back to Local when nil.
-	ScreenedLocal func(f Objective, screen ThresholdEval, x0 []float64) (*Result, error)
 	// ScreenRestarts stages the run: the deterministic InitialPoints
 	// trajectories complete first, then every random restart is scored
 	// with a single objective evaluation at its (clamped) start point and
@@ -168,18 +150,13 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 		return nil, errors.New("optimize: no starting points")
 	}
 
-	// workerObjective resolves one worker's objective, optional
-	// threshold-aware evaluator, and per-start reset hook: the shared f
-	// (no screen) when no affinity factory is configured.
-	workerObjective := func() (Objective, ThresholdEval, func()) {
-		if cfg.NewWorkerScreened != nil {
-			return cfg.NewWorkerScreened()
-		}
+	// workerObjective resolves one worker's objective and per-start reset
+	// hook: the shared f when no affinity factory is configured.
+	workerObjective := func() (Objective, func()) {
 		if cfg.NewWorkerObjective != nil {
-			obj, reset := cfg.NewWorkerObjective()
-			return obj, nil, reset
+			return cfg.NewWorkerObjective()
 		}
-		return f, nil, nil
+		return f, nil
 	}
 
 	type outcome struct {
@@ -199,7 +176,7 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 	// for this start — including the final re-evaluation of the clamped
 	// optimum — depends only on the start itself, never on which worker
 	// ran it or what that worker ran before.
-	runStart := func(i int, obj Objective, te ThresholdEval, reset func()) {
+	runStart := func(i int, obj Objective, reset func()) {
 		if reset != nil {
 			reset()
 		}
@@ -208,19 +185,8 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 			// whether this restart earns a local search. The score is a
 			// pure function of the point (the reset above scoped any
 			// warm state), so the verdict is worker-count invariant.
-			// With a ThresholdEval the evaluation itself can stop at a
-			// certified bound above the bar: a screened restart's stored
-			// F is then that bound — still above the bar, i.e. above an
-			// earlier start's optimum — so under the strict-improvement
-			// reduction it can never win, exactly like the exact score
-			// it stands in for. Either way it counts one evaluation.
 			x0 := box.Clamp(append([]float64(nil), points[i]...))
-			var f0 float64
-			if te != nil {
-				f0, _ = te(x0, screenBar)
-			} else {
-				f0 = obj(x0)
-			}
+			f0 := obj(x0)
 			if !(f0 < screenBar) {
 				outs[i] = outcome{res: &Result{X: x0, F: f0, Evals: 1}, evals: 1}
 				return
@@ -235,17 +201,7 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 			clamped := box.Clamp(append([]float64(nil), x...))
 			return obj(clamped)
 		}
-		var res *Result
-		var err error
-		if te != nil && cfg.ScreenedLocal != nil {
-			projT := func(x []float64, threshold float64) (float64, bool) {
-				clamped := box.Clamp(append([]float64(nil), x...))
-				return te(clamped, threshold)
-			}
-			res, err = cfg.ScreenedLocal(proj, projT, points[i])
-		} else {
-			res, err = local(proj, points[i])
-		}
+		res, err := local(proj, points[i])
 		if err != nil {
 			outs[i] = outcome{err: err}
 			return
@@ -269,9 +225,9 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 			workers = hi - lo
 		}
 		if workers <= 1 {
-			obj, te, reset := workerObjective()
+			obj, reset := workerObjective()
 			for i := lo; i < hi; i++ {
-				runStart(i, obj, te, reset)
+				runStart(i, obj, reset)
 				if outs[i].err != nil {
 					// Fail fast like the serial loop: later starts never run.
 					return outs[i].err
@@ -285,9 +241,9 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				obj, te, reset := workerObjective()
+				obj, reset := workerObjective()
 				for i := range next {
-					runStart(i, obj, te, reset)
+					runStart(i, obj, reset)
 				}
 			}()
 		}

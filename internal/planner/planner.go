@@ -99,10 +99,9 @@ type Stats struct {
 	// computation (single-flight coalescing) instead of hitting a finished
 	// memo entry or computing themselves.
 	ResultCoalesced int64 `json:"result_coalesced"`
-	// GammaExactServed / GammaSparseServed / GammaSketchServed count
-	// computed requests by the γ backend that served their searches.
+	// GammaExactServed / GammaSketchServed count computed requests by the
+	// γ backend that served their searches.
 	GammaExactServed  int64 `json:"gamma_exact_served"`
-	GammaSparseServed int64 `json:"gamma_sparse_served"`
 	GammaSketchServed int64 `json:"gamma_sketch_served"`
 	// LP is the process-wide revised-simplex counter snapshot
 	// (lp.GlobalRevisedStats) taken when the Stats call was answered.
@@ -139,7 +138,6 @@ func (s Stats) Delta(since Stats) Stats {
 		ResultMisses:      s.ResultMisses - since.ResultMisses,
 		ResultCoalesced:   s.ResultCoalesced - since.ResultCoalesced,
 		GammaExactServed:  s.GammaExactServed - since.GammaExactServed,
-		GammaSparseServed: s.GammaSparseServed - since.GammaSparseServed,
 		GammaSketchServed: s.GammaSketchServed - since.GammaSketchServed,
 		LP:                s.LP.Delta(since.LP),
 		Estimators:        s.Estimators.Delta(since.Estimators),
@@ -160,14 +158,10 @@ type LPStats struct {
 	DualPivots       int `json:"dual_pivots"`
 	SEPivots         int `json:"se_pivots"`
 	BoundFlips       int `json:"bound_flips"`
-	WeightResets     int `json:"weight_resets"`
 	EtaUpdates       int `json:"eta_updates"`
 	Refactorizations int `json:"refactorizations"`
-	SparseFactors    int `json:"sparse_factors"`
 	PrescreenHits    int `json:"prescreen_hits"`
 	PrescreenProbes  int `json:"prescreen_probes"`
-	BoundProbes      int `json:"bound_probes"`
-	BoundScreens     int `json:"bound_screens"`
 	InfeasibleSolves int `json:"infeasible_solves"`
 }
 
@@ -182,14 +176,10 @@ func (s LPStats) Delta(since LPStats) LPStats {
 		DualPivots:       s.DualPivots - since.DualPivots,
 		SEPivots:         s.SEPivots - since.SEPivots,
 		BoundFlips:       s.BoundFlips - since.BoundFlips,
-		WeightResets:     s.WeightResets - since.WeightResets,
 		EtaUpdates:       s.EtaUpdates - since.EtaUpdates,
 		Refactorizations: s.Refactorizations - since.Refactorizations,
-		SparseFactors:    s.SparseFactors - since.SparseFactors,
 		PrescreenHits:    s.PrescreenHits - since.PrescreenHits,
 		PrescreenProbes:  s.PrescreenProbes - since.PrescreenProbes,
-		BoundProbes:      s.BoundProbes - since.BoundProbes,
-		BoundScreens:     s.BoundScreens - since.BoundScreens,
 		InfeasibleSolves: s.InfeasibleSolves - since.InfeasibleSolves,
 	}
 }
@@ -207,14 +197,10 @@ func lpStatsSnapshot() LPStats {
 		DualPivots:       g.DualPivots,
 		SEPivots:         g.SEPivots,
 		BoundFlips:       g.BoundFlips,
-		WeightResets:     g.WeightResets,
 		EtaUpdates:       g.EtaUpdates,
 		Refactorizations: g.Refactorizations,
-		SparseFactors:    g.SparseFactors,
 		PrescreenHits:    g.PrescreenHits,
 		PrescreenProbes:  g.PrescreenProbes,
-		BoundProbes:      g.BoundProbes,
-		BoundScreens:     g.BoundScreens,
 		InfeasibleSolves: g.InfeasibleSolves,
 	}
 }
@@ -472,7 +458,7 @@ type SelectRequest struct {
 	Sigma    float64   `json:"sigma,omitempty"`
 	Alpha    float64   `json:"alpha,omitempty"`
 	// GammaBackend selects the γ-evaluation backend of the search ("auto",
-	// "exact", "sparse" or "sketch"; empty = auto). Approximate backends
+	// "exact" or "sketch"; empty = auto). The approximate sketch backend
 	// only guide the search — the served γ and η' values are exact.
 	GammaBackend string `json:"gamma_backend,omitempty"`
 }
@@ -491,7 +477,7 @@ type SelectResponse struct {
 	Reactances       []float64 `json:"reactances"`
 	MaxGammaFallback bool      `json:"max_gamma_fallback,omitempty"`
 	// GammaBackend reports which γ backend served the search (the resolved
-	// value: "exact", "sparse" or "sketch").
+	// value: "exact" or "sketch").
 	GammaBackend string `json:"gamma_backend"`
 	// CacheHit reports whether any cache served (memo, coalesced in-flight
 	// computation, or disk); Source names which ("computed", "memo",
@@ -610,12 +596,9 @@ func (p *Planner) computeSelect(req SelectRequest, gb core.GammaBackend) (*Selec
 func (p *Planner) countGammaServed(gb core.GammaBackend) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch subspace.EffectiveGammaBackend(gb) {
-	case core.SparseGamma:
-		p.stats.GammaSparseServed++
-	case core.SketchGamma:
+	if subspace.EffectiveGammaBackend(gb) == core.SketchGamma {
 		p.stats.GammaSketchServed++
-	default:
+	} else {
 		p.stats.GammaExactServed++
 	}
 }

@@ -114,9 +114,9 @@ type Spec struct {
 	Backend grid.Backend
 
 	// GammaBackend optionally forces the γ-evaluation backend of the
-	// study's selection searches and placement probes (exact / sparse /
-	// sketch; auto follows the -gamma process default, exact when none is
-	// set). Approximate backends only ever guide searches: reported γ
+	// study's selection searches and placement probes (exact / sketch;
+	// auto follows the -gamma process default, exact when none is set).
+	// The sketch backend only ever guides searches: reported γ
 	// values stay exact (see core.SelectMTD's tolerance contract and the
 	// placement rows' exact winner re-check).
 	GammaBackend core.GammaBackend

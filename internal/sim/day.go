@@ -75,7 +75,7 @@ type DayConfig struct {
 	// GammaBackend selects the γ-evaluation backend of the hourly tuning
 	// searches (auto = the -gamma process default, exact when none is
 	// set). The recorded angles and effectiveness stay exact regardless:
-	// approximate backends only guide the inner searches.
+	// the approximate sketch backend only guides the inner searches.
 	GammaBackend core.GammaBackend
 	// Seed seeds the hourly solvers.
 	Seed int64

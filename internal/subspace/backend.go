@@ -1,11 +1,10 @@
 package subspace
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
-
-	"gridmtd/internal/mat"
 )
 
 // GammaBackend names a γ-evaluation strategy: how the orthonormal bases
@@ -27,11 +26,6 @@ const (
 	// multi-accumulator/blocked kernels run under the 1e-9-agreement
 	// contract (the two paths that predate the backend layer).
 	ExactGamma
-	// SparseGamma is the CSC-aware Gram-Schmidt over the reduced [p; √2·f]
-	// rows: structural zeros are skipped via per-column support lists, so
-	// every projection touches only the union of the supports seen so far.
-	// Values agree with ExactGamma to 1e-9 rad.
-	SparseGamma
 	// SketchGamma is the randomized sketch evaluator: orthonormalization
 	// happens implicitly through sparse Cholesky factors of the candidate
 	// Gram matrix Eᵀ·D·G·D·E, and sin²γ is extracted by a seeded Lanczos
@@ -47,8 +41,6 @@ func (b GammaBackend) String() string {
 	switch b {
 	case ExactGamma:
 		return "exact"
-	case SparseGamma:
-		return "sparse"
 	case SketchGamma:
 		return "sketch"
 	default:
@@ -63,26 +55,27 @@ func GammaBackends() []struct{ Name, Desc string } {
 	return []struct{ Name, Desc string }{
 		{"auto", "process default (-gamma flag), exact when none is set"},
 		{"exact", "reference evaluator: bitwise below the sparse threshold, fast kernels above (1e-9)"},
-		{"sparse", "CSC-aware Gram-Schmidt skipping structural zeros (1e-9 agreement)"},
 		{"sketch", "sparse-Gram Cholesky + seeded randomized Lanczos; documented error bound, exact fallback"},
 	}
 }
 
+// ErrUnknownGammaBackend is the error ParseGammaBackend wraps for a value
+// that names no γ backend.
+var ErrUnknownGammaBackend = errors.New("subspace: unknown gamma backend")
+
 // ParseGammaBackend parses a -gamma flag value. The error for an unknown
-// value lists every valid choice (mirroring the case registry's "-case
-// list" discoverability).
+// value wraps ErrUnknownGammaBackend and lists every valid choice
+// (mirroring the case registry's "-case list" discoverability).
 func ParseGammaBackend(s string) (GammaBackend, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "auto":
 		return AutoGamma, nil
 	case "exact":
 		return ExactGamma, nil
-	case "sparse":
-		return SparseGamma, nil
 	case "sketch":
 		return SketchGamma, nil
 	default:
-		return AutoGamma, fmt.Errorf("subspace: unknown gamma backend %q (want auto, exact, sparse or sketch)", s)
+		return AutoGamma, fmt.Errorf("%w %q (want auto, exact or sketch)", ErrUnknownGammaBackend, s)
 	}
 }
 
@@ -102,9 +95,9 @@ func CurrentDefaultGammaBackend() GammaBackend { return GammaBackend(defaultGamm
 
 // EffectiveGammaBackend resolves a possibly-Auto γ-backend choice: the
 // process-wide default first, then ExactGamma. The result is always
-// ExactGamma, SparseGamma or SketchGamma. Unlike grid.EffectiveBackend
-// there is no size rule: the approximate backends are strictly opt-in, so
-// default-path outputs stay pinned to the exact evaluator.
+// ExactGamma or SketchGamma. Unlike grid.EffectiveBackend there is no size
+// rule: the approximate backend is strictly opt-in, so default-path
+// outputs stay pinned to the exact evaluator.
 func EffectiveGammaBackend(b GammaBackend) GammaBackend {
 	if b == AutoGamma {
 		b = CurrentDefaultGammaBackend()
@@ -114,46 +107,3 @@ func EffectiveGammaBackend(b GammaBackend) GammaBackend {
 	}
 	return b
 }
-
-// BasisBackend produces orthonormal bases for transposed candidate
-// matrices — the seam the γ engines select an orthonormalization strategy
-// through, mirroring grid.BFactorizer on the linear-algebra side. The two
-// basis-producing implementations are ExactBasisBackend (dense MGS, both
-// kernel families) and the support-tracking SparseBasisBackend; the sketch
-// evaluator never forms a basis and therefore lives outside this interface
-// (see SketchEvaluator).
-//
-// The interface is sealed (unexported methods): Workspace dispatch relies
-// on implementation invariants — which kernel family the cross-Gram and
-// σ_min stages must use, and whether produced bases carry support lists.
-type BasisBackend interface {
-	// Backend reports which γ backend this implementation serves.
-	Backend() GammaBackend
-	// basisT orthonormalizes the rows of at (columns of the candidate
-	// matrix) into dst, reusing dst's buffers.
-	basisT(dst *Basis, at *mat.Dense, tol float64)
-	// fastKernels reports whether downstream stages (cross-Gram, σ_min)
-	// should use the multi-accumulator/blocked kernel family.
-	fastKernels() bool
-}
-
-// exactBasisBackend is today's dense modified Gram-Schmidt: the bitwise
-// serial kernels or the multi-accumulator fast family, exactly as the
-// pre-backend-layer Workspace.Fast toggle selected them.
-type exactBasisBackend struct{ fast bool }
-
-// ExactBasisBackend returns the reference dense-MGS backend; fast selects
-// the multi-accumulator kernel family (the ≥ grid.SparseThreshold path).
-func ExactBasisBackend(fast bool) BasisBackend { return exactBasisBackend{fast: fast} }
-
-func (e exactBasisBackend) Backend() GammaBackend { return ExactGamma }
-
-func (e exactBasisBackend) basisT(dst *Basis, at *mat.Dense, tol float64) {
-	if e.fast {
-		computeBasisTFast(dst, at, tol)
-	} else {
-		computeBasisT(dst, at, tol)
-	}
-}
-
-func (e exactBasisBackend) fastKernels() bool { return e.fast }

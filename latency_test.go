@@ -9,7 +9,7 @@ import (
 )
 
 // coldSelectBudget is 2x the worst cold ieee118 selection latency recorded
-// in PERF.md's PR 6 table (103-140 ms on the 1-core reference box at the
+// for PR 6 (103-140 ms on the 1-core reference box at the
 // CI smoke point). The headroom absorbs runner noise; a regression back
 // toward the 0.6 s tableau-resolve floor still trips it by a wide margin.
 const coldSelectBudget = 280 * time.Millisecond
@@ -48,12 +48,11 @@ func TestColdSelectLatencyBudget(t *testing.T) {
 	}
 }
 
-// coldSelect300Budget is 2x the best cold ieee300 selection recorded in
-// PERF.md's PR 8 table (~0.89 s on the 1-core reference box, down from
+// coldSelect300Budget is 2x the best cold ieee300 selection recorded for
+// PR 8 in PERF.md's history (~0.89 s on the 1-core reference box, down from
 // ~1.2 s at PR 7 via the dispatch-solve memo, the Farkas pre-screen and
-// the screened restarts). A regression in any stage — PR 7's pricing,
-// sparse LU and estimator reuse, or PR 8's solve-volume cuts — lands
-// well above this line.
+// the screened restarts). A regression in any stage — Devex pricing,
+// estimator reuse, or the solve-volume cuts — lands well above this line.
 const coldSelect300Budget = 1800 * time.Millisecond
 
 // TestColdSelect300LatencyBudget holds the cold 300-bus planner selection
@@ -84,7 +83,7 @@ func TestColdSelect300LatencyBudget(t *testing.T) {
 	t.Logf("cold ieee300 selection: best %v (budget %v)", best, coldSelect300Budget)
 	if best > coldSelect300Budget {
 		t.Errorf("cold ieee300 selection took %v, budget %v — a PR 7/PR 8 stage "+
-			"(pricing, sparse LU, estimator reuse, solve memo, pre-screen, "+
+			"(pricing, estimator reuse, solve memo, pre-screen, "+
 			"restart screen) has regressed", best, coldSelect300Budget)
 	}
 }

@@ -11,28 +11,18 @@ import (
 // coldSelect300SolveCeiling bounds the number of full dispatch LP solves
 // one cold ieee300 planner selection may execute. PR 7 measured 179; the
 // PR 8 memo + Farkas pre-screen + lazy-penalty skip land well below 90
-// (see PERF.md's PR 8 table), and a regression in any of the three —
+// (see PERF.md's history), and a regression in any of the three —
 // cache keys that stop matching, a pre-screen that stops certifying, a
 // skip that stops firing — pushes the count back toward 179 and trips
-// this ceiling long before the latency budget notices.
-//
-// PR 10's dual-bound screen probes this trajectory 31 times but never
-// fires: ieee300's line limits don't bind at this operating point, so
-// the landscape is flat and every probed candidate either genuinely
-// improves the threshold or ties it exactly (ties sit inside the
-// certification margin and must solve — screening them would trade
-// exactness for two solves). The measured floor stays 88 = the number
-// of distinct accepted-trajectory points; see PERF.md's PR 10 section
-// for the full solve-site breakdown and the ieee118 contrast, where
-// limits bind and the screen retires solves.
+// this ceiling long before the latency budget notices. The measured floor
+// is 88 at GOMAXPROCS=1 (90 at ≥ 2, where the Farkas pre-screen answers fewer candidates):
+// the number of distinct accepted-trajectory points.
 const coldSelect300SolveCeiling = 90
 
 // coldSelect118SolveCeiling bounds the cold ieee118 selection the same
-// way. ieee118's calibrated branch ratings BIND, so this is the case
-// that exercises the dual-bound screen end to end: PR 10 measured 65
-// solves with 13 bound probes and 2 certified screens on the benchmark
-// request. The ceiling also guards the screen's soundness economics: a
-// screen that silently stopped firing shows up here as +screens solves.
+// way. ieee118's calibrated branch ratings bind, so its landscape has real
+// gradients and its search visits more distinct points: 67 solves on the
+// benchmark request.
 const coldSelect118SolveCeiling = 70
 
 // TestColdSelect300SolveBudget runs one cold ieee300 selection and
@@ -56,9 +46,8 @@ func TestColdSelect300SolveBudget(t *testing.T) {
 	}
 	d := lp.GlobalRevisedStats().Delta(lpBefore)
 	sc := opf.GlobalSolveCacheStats()
-	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, %d bound probes / %d screens, cache %d hits / %d misses)",
-		d.Solves, d.PrescreenHits, d.BoundProbes, d.BoundScreens,
-		sc.Hits-scBefore.Hits, sc.Misses-scBefore.Misses)
+	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, cache %d hits / %d misses)",
+		d.Solves, d.PrescreenHits, sc.Hits-scBefore.Hits, sc.Misses-scBefore.Misses)
 	if d.Solves > coldSelect300SolveCeiling {
 		t.Errorf("cold ieee300 selection ran %d full dispatch solves, ceiling %d — "+
 			"the solve memo, Farkas pre-screen or lazy-penalty skip has regressed",
@@ -67,9 +56,7 @@ func TestColdSelect300SolveBudget(t *testing.T) {
 }
 
 // TestColdSelect118SolveBudget is the binding-limits counterpart: the
-// benchmark ieee118 selection must stay under its solve ceiling AND the
-// dual-bound screen must actually fire on it (this is the case whose
-// landscape has real gradients for the screen to cut).
+// benchmark ieee118 selection must stay under its solve ceiling.
 func TestColdSelect118SolveBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping solve-budget assertion in -short mode")
@@ -85,15 +72,9 @@ func TestColdSelect118SolveBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := lp.GlobalRevisedStats().Delta(lpBefore)
-	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits, %d bound probes / %d screens)",
-		d.Solves, d.PrescreenHits, d.BoundProbes, d.BoundScreens)
+	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits)", d.Solves, d.PrescreenHits)
 	if d.Solves > coldSelect118SolveCeiling {
 		t.Errorf("cold ieee118 selection ran %d full dispatch solves, ceiling %d",
 			d.Solves, coldSelect118SolveCeiling)
-	}
-	if d.BoundScreens == 0 {
-		t.Errorf("cold ieee118 selection fired 0 dual-bound screens (%d probes) — "+
-			"the screen has stopped cutting solves on the binding-limits case",
-			d.BoundProbes)
 	}
 }
