@@ -117,8 +117,18 @@
 // screened against the deterministic trajectories' optimum so a losing
 // restart costs one evaluation instead of a local-search budget.
 // All of these are invisible to the dense/golden path and their traffic
-// is reported by GlobalSolveCacheStats, the lp counters and /v1/stats (which supports ?mark=/?since= named
-// snapshots for per-request deltas).
+// is reported by GlobalSolveCacheStats, the lp counters and /v1/stats
+// (which supports ?mark=/?since= named snapshots for per-request deltas).
+//
+// Every in-process cache — dispatch solves, post-MTD estimators, resolved
+// cases, finished planner responses and the scenario runner's
+// per-network engines — is one mechanism, internal/memo: a bounded,
+// bitwise- or pointer-keyed, single-flight LRU. Its counting rule is
+// the same everywhere: the caller that creates an entry runs the build
+// and counts the miss, so misses equal builds exactly; a caller that
+// finds the entry in flight joins it (counted as coalesced for planner
+// responses, as a hit elsewhere) and one that finds it finished is a hit.
+// Only the planner's load-shedding error is never kept.
 //
 // The runnable programs under examples/ walk through the full defender
 // workflow, the cost-effectiveness tradeoff, a 24-hour operating day and

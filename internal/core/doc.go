@@ -37,9 +37,11 @@
 // reactance vector: two x_new vectors share an entry only when every
 // float64 is identical, so a hit can never change a result. There is no
 // staleness-based invalidation — networks resolved from the case registry
-// are immutable, so an entry is invalidated only by LRU eviction (capacity
-// pressure) or by keying against a different *grid.Network pointer, which
-// bypasses the cache entirely. Misses build through se.Factory, which
+// are immutable, so an entry is invalidated only by LRU eviction (16
+// entries per network) or by keying against a different *grid.Network
+// pointer, which bypasses the cache entirely. The cache is an
+// internal/memo LRU, like every other in-process cache: concurrent misses
+// on one key share a single build, and misses count builds exactly. Misses build through se.Factory, which
 // re-orthogonalizes only the D-FACTS-adjacent state columns and falls back
 // to the full QR whenever its stable-column premise fails bitwise.
 // EffectivenessConfig.Estimators opts an evaluation in; only fast

@@ -1,34 +1,38 @@
 package core
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/mat"
+	"gridmtd/internal/memo"
 	"gridmtd/internal/se"
 )
 
-// defaultEstimatorCacheCap bounds an EstimatorCache's LRU. Each entry holds
+// estimatorCacheCap bounds an EstimatorCache's LRU. Each entry holds
 // one dense QR (Q, Qᵀ, R plus H — about 4·M·n floats, ~30 MB for ieee300),
-// so the default stays small; a daemon's repeat traffic concentrates on far
+// so the bound stays small; a daemon's repeat traffic concentrates on far
 // fewer distinct settings than this anyway.
-const defaultEstimatorCacheCap = 16
+const estimatorCacheCap = 16
 
-// estGlobal aggregates estimator-cache traffic process-wide, mirroring the
-// lp package's global revised-simplex counters: lock-free increments on the
-// serving path, one snapshot call for /v1/stats and mtdexp -v.
-var estGlobal struct {
-	hits, misses        atomic.Int64
-	fastBuilds, fullQRs atomic.Int64
-}
+// estCounts and estGlobal aggregate estimator-cache traffic process-wide,
+// mirroring the lp package's global revised-simplex counters: lock-free
+// increments on the serving path, one snapshot call for /v1/stats and
+// mtdexp -v. estCounts receives every EstimatorCache lookup; estGlobal
+// splits the builds by kind.
+var (
+	estCounts memo.Counters
+	estGlobal struct{ fastBuilds, fullQRs atomic.Int64 }
+)
 
 // EstimatorCacheStats is a snapshot of the process-wide estimator-cache
 // counters.
 type EstimatorCacheStats struct {
-	// Hits / Misses count cache lookups by outcome.
+	// Hits / Misses count cache lookups by outcome: a miss is the one
+	// lookup that built the estimator (so misses equal builds), a hit
+	// reads a finished entry or joins an in-flight build.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// FastBuilds counts misses served by the rank-structured completion
@@ -53,8 +57,8 @@ func (s EstimatorCacheStats) Delta(since EstimatorCacheStats) EstimatorCacheStat
 // GlobalEstimatorCacheStats returns the process-wide cache counters.
 func GlobalEstimatorCacheStats() EstimatorCacheStats {
 	return EstimatorCacheStats{
-		Hits:       int(estGlobal.hits.Load()),
-		Misses:     int(estGlobal.misses.Load()),
+		Hits:       int(estCounts.Hit.Load() + estCounts.Joined.Load()),
+		Misses:     int(estCounts.Computed.Load()),
 		FastBuilds: int(estGlobal.fastBuilds.Load()),
 		FullQRs:    int(estGlobal.fullQRs.Load()),
 	}
@@ -79,34 +83,16 @@ func GlobalEstimatorCacheStats() EstimatorCacheStats {
 // key share a single build. A nil cache is valid and builds fresh
 // estimators on every call.
 type EstimatorCache struct {
-	n   *grid.Network
-	cap int
+	n       *grid.Network
+	entries *memo.Cache[string, *se.Estimator]
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards factory
 	factory *se.Factory
-	entries map[string]*estEntry
-	lru     *list.List // front = most recent; values are keys
-}
-
-type estEntry struct {
-	once sync.Once
-	est  *se.Estimator
-	err  error
-	elem *list.Element
 }
 
 // NewEstimatorCache builds a cache for the given (immutable) network.
-// capacity <= 0 selects the default.
-func NewEstimatorCache(n *grid.Network, capacity int) *EstimatorCache {
-	if capacity <= 0 {
-		capacity = defaultEstimatorCacheCap
-	}
-	return &EstimatorCache{
-		n:       n,
-		cap:     capacity,
-		entries: map[string]*estEntry{},
-		lru:     list.New(),
-	}
+func NewEstimatorCache(n *grid.Network) *EstimatorCache {
+	return &EstimatorCache{n: n, entries: memo.New[string, *se.Estimator](estimatorCacheCap, &estCounts, nil)}
 }
 
 // estKey packs a reactance vector's bit pattern into a map key.
@@ -127,37 +113,12 @@ func estKey(x []float64) string {
 // network an EffectivenessConfig's cache was built for.
 func (c *EstimatorCache) Get(n *grid.Network, xNew []float64) (*se.Estimator, error) {
 	if c == nil || n != c.n {
-		estGlobal.misses.Add(1)
+		estCounts.Computed.Add(1)
 		estGlobal.fullQRs.Add(1)
 		return se.NewEstimator(n.MeasurementMatrix(xNew))
 	}
-	key := estKey(xNew)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e = &estEntry{}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		for c.lru.Len() > c.cap {
-			old := c.lru.Back()
-			c.lru.Remove(old)
-			delete(c.entries, old.Value.(string))
-		}
-	}
-	c.mu.Unlock()
-	first := false
-	e.once.Do(func() {
-		first = true
-		e.est, e.err = c.build(xNew)
-	})
-	if first || !ok {
-		estGlobal.misses.Add(1)
-	} else {
-		estGlobal.hits.Add(1)
-	}
-	return e.est, e.err
+	est, _, err := c.entries.Get(estKey(xNew), func() (*se.Estimator, error) { return c.build(xNew) })
+	return est, err
 }
 
 // build constructs one estimator through the factory, creating the factory

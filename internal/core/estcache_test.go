@@ -23,14 +23,15 @@ func estStatsDelta(fn func()) EstimatorCacheStats {
 
 // TestEstimatorCacheHitMissEvict pins the cache mechanics: bitwise-keyed
 // hits return the identical estimator, distinct settings miss through the
-// factory's fast build, eviction drops the least recently used entry, and
-// a foreign network bypasses the cache with a full QR.
+// factory's fast build, and a foreign network bypasses the cache with a
+// full QR. LRU eviction order is memo's and is tested there once
+// (TestLRUEviction).
 func TestEstimatorCacheHitMissEvict(t *testing.T) {
 	n, err := grid.CaseByName("ieee57")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewEstimatorCache(n, 2)
+	c := NewEstimatorCache(n)
 	lo, hi := n.DFACTSBounds()
 	setting := func(f float64) []float64 {
 		xd := make([]float64, len(lo))
@@ -68,15 +69,12 @@ func TestEstimatorCacheHitMissEvict(t *testing.T) {
 		if _, err := c.Get(n, x2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Get(n, x3); err != nil { // evicts x1 (cap 2)
-			t.Fatal(err)
-		}
-		if _, err := c.Get(n, x1); err != nil { // rebuilt after eviction
+		if _, err := c.Get(n, x3); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if d.Misses != 3 || d.FastBuilds != 3 {
-		t.Fatalf("evict sequence: %+v; want 3 fast-build misses", d)
+	if d.Misses != 2 || d.Hits != 0 || d.FastBuilds != 2 || d.FullQRs != 0 {
+		t.Fatalf("distinct settings: %+v; want 2 fast-build misses", d)
 	}
 
 	other, err := grid.CaseByName("ieee14")
@@ -116,7 +114,7 @@ func TestEvaluateAttacksWithEstimatorCache(t *testing.T) {
 		t.Fatal("ieee118 attack set is not fast; the cache gate would never open")
 	}
 	cached := cfg
-	cached.Estimators = NewEstimatorCache(n, 0)
+	cached.Estimators = NewEstimatorCache(n)
 	for pi, xd := range backendTestPoints(n) {
 		xNew := n.ExpandDFACTS(xd)
 		want, err := EvaluateAttacks(n, set, xNew, cfg)

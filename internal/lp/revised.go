@@ -33,53 +33,53 @@ type WarmSolver interface {
 // the warm path is exercised and PERF.md reports pivot counts from it.
 type RevisedStats struct {
 	// Solves is the total number of Solve calls.
-	Solves int
+	Solves int `json:"solves"`
 	// WarmSolves counts solves completed by the revised warm path.
-	WarmSolves int
+	WarmSolves int `json:"warm_solves"`
 	// ColdSolves counts solves delegated to the flat tableau solver
 	// (first solve, structural change, or fallback).
-	ColdSolves int
+	ColdSolves int `json:"cold_solves"`
 	// Fallbacks counts warm attempts abandoned mid-flight (singular or
 	// stalled basis, failed verification) that then re-solved cold.
-	Fallbacks int
+	Fallbacks int `json:"fallbacks"`
 	// PrimalPivots and DualPivots count warm-path simplex pivots.
-	PrimalPivots int
-	DualPivots   int
-	// EtaUpdates counts basis exchanges absorbed by a product-form eta
-	// update instead of a refactorization.
-	EtaUpdates int
-	// Refactorizations counts working-matrix refactorizations: one per
-	// warm attempt, plus every eta-file collapse (cap reached, spike
-	// retry, or the exact re-derivation before an answer is accepted).
-	Refactorizations int
+	PrimalPivots int `json:"primal_pivots"`
+	DualPivots   int `json:"dual_pivots"`
 	// SEPivots counts the dual pivots whose leaving row was chosen by the
 	// Devex-weighted steepest-edge rule (as opposed to Bland scans, the
 	// anti-cycling fallback).
-	SEPivots int
+	SEPivots int `json:"se_pivots"`
 	// BoundFlips counts nonbasic bound flips applied by the dual
 	// bound-flipping ratio test (long-step dual pivots absorb several
 	// breakpoints into one basis exchange; each absorbed breakpoint is one
 	// flip).
-	BoundFlips int
+	BoundFlips int `json:"bound_flips"`
+	// EtaUpdates counts basis exchanges absorbed by a product-form eta
+	// update instead of a refactorization.
+	EtaUpdates int `json:"eta_updates"`
+	// Refactorizations counts working-matrix refactorizations: one per
+	// warm attempt, plus every eta-file collapse (cap reached, spike
+	// retry, or the exact re-derivation before an answer is accepted).
+	Refactorizations int `json:"refactorizations"`
 	// PrescreenHits counts Solve calls answered by the Farkas-ray
 	// pre-screen: a recycled infeasibility certificate, revalidated
 	// exactly against the call's own problem data, proved the problem
 	// infeasible before any simplex work. Pre-screened calls are NOT
 	// counted in Solves — Solves remains the number of full dispatch
 	// solves actually run.
-	PrescreenHits int
+	PrescreenHits int `json:"prescreen_hits"`
 	// PrescreenProbes counts individual stored-ray revalidations run by
 	// the pre-screen (the structural-cause index's per-miss work;
 	// PrescreenHits/PrescreenProbes is its precision).
-	PrescreenProbes int
+	PrescreenProbes int `json:"prescreen_probes"`
 	// InfeasibleSolves counts full solves (counted in Solves) that ended
 	// in a certified ErrInfeasible — the pre-screen's remaining misses;
 	// each is also a ray-capture opportunity.
-	InfeasibleSolves int
+	InfeasibleSolves int `json:"infeasible_solves"`
 	// BoundProbes and BoundScreens belonged to the retired dual-bound
 	// screen and nothing increments them; they stay only because the
 	// benchmark still reads them, and go with its next revision.
-	BoundProbes, BoundScreens int
+	BoundProbes, BoundScreens int `json:"-"`
 }
 
 // Variable statuses of the bounded-variable revised simplex. Slack

@@ -10,6 +10,7 @@ import (
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
 	"gridmtd/internal/mat"
+	"gridmtd/internal/memo"
 )
 
 // DispatchEngine solves the dispatch-only OPF for many reactance vectors
@@ -179,7 +180,7 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 		return w
 	}
 	if e.warm {
-		e.cache = newSolveCache(0)
+		e.cache = newSolveCache()
 	}
 	return e, nil
 }
@@ -376,67 +377,43 @@ func (e *DispatchEngine) Solve(x []float64) (*Result, error) {
 // on a miss. See SolveCache for why a hit is bitwise equivalent to a
 // fresh solve.
 func (e *DispatchEngine) cachedCost(w *dispatchWorkspace, x []float64) (float64, error) {
-	ent, ok := e.cache.entry(e.solveKey(x))
-	first := e.computeEntry(ent, w, x)
-	countSolveLookup(first, ok)
-	if ent.err != nil {
-		return 0, ent.err
-	}
-	return ent.obj, nil
+	r, _, err := e.cache.Get(e.solveKey(x), e.solveFresh(w, x))
+	return r.obj, err
 }
 
 // cachedSolve is Solve through the memo: the LP comes from the cache (or
 // one shared computation on a miss); only the verifying DC power flow —
 // which needs this workspace's factorization at x — runs per call.
 func (e *DispatchEngine) cachedSolve(w *dispatchWorkspace, x []float64) (*Result, error) {
-	ent, ok := e.cache.entry(e.solveKey(x))
-	first := e.computeEntry(ent, w, x)
-	countSolveLookup(first, ok)
-	if ent.err != nil {
-		return nil, ent.err
+	r, outcome, err := e.cache.Get(e.solveKey(x), e.solveFresh(w, x))
+	if err != nil {
+		return nil, err
 	}
-	if !first {
-		// The LP ran in some earlier call: w.bf does not hold x's
+	if outcome != memo.Computed {
+		// The LP ran in some other call: w.bf does not hold x's
 		// factorization, which the verifying power flow below needs.
 		if err := w.bf.Reset(x); err != nil {
 			return nil, fmt.Errorf("opf: PTDF: %w", err)
 		}
 	}
-	return e.verifiedResult(w, x, append([]float64(nil), ent.x...), ent.obj)
+	return e.verifiedResult(w, x, append([]float64(nil), r.x...), r.obj)
 }
 
-// computeEntry runs the entry's single LP solve if nobody has yet: a pure
-// from-seed solve of (loads, x) on the caller's workspace, or on a pooled
-// workspace when w is nil. It reports whether this call did the work (in
-// which case w's factorizer holds x when w was supplied).
-func (e *DispatchEngine) computeEntry(ent *solveEntry, w *dispatchWorkspace, x []float64) (first bool) {
-	ent.once.Do(func() {
-		first = true
-		ws := w
-		if ws == nil {
-			ws = e.pool.Get().(*dispatchWorkspace)
-			defer e.pool.Put(ws)
+// solveFresh returns the memo build for x: a pure from-seed LP solve of
+// (loads, x) on w, or on a pooled workspace when w is nil. When it runs
+// on a supplied w, w's factorizer holds x afterwards.
+func (e *DispatchEngine) solveFresh(w *dispatchWorkspace, x []float64) func() (solved, error) {
+	return func() (solved, error) {
+		if w == nil {
+			w = e.pool.Get().(*dispatchWorkspace)
+			defer e.pool.Put(w)
 		}
-		ws.dropWarmStart()
-		sol, err := e.prepare(ws, x)
+		w.dropWarmStart()
+		sol, err := e.prepare(w, x)
 		if err != nil {
-			ent.err = err
-			return
+			return solved{}, err
 		}
-		ent.obj = sol.Objective
-		ent.x = append([]float64(nil), sol.X...)
-	})
-	return first
-}
-
-// countSolveLookup attributes one cache lookup to the process-wide
-// counters: a lookup that found a computed entry is a hit, anything else
-// (created the entry, or did/shared the computation) is a miss.
-func countSolveLookup(first, existed bool) {
-	if first || !existed {
-		solveGlobal.misses.Add(1)
-	} else {
-		solveGlobal.hits.Add(1)
+		return solved{obj: sol.Objective, x: append([]float64(nil), sol.X...)}, nil
 	}
 }
 

@@ -1,34 +1,31 @@
 package opf
 
 import (
-	"container/list"
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"gridmtd/internal/memo"
 )
 
-// defaultSolveCacheCap bounds a SolveCache's LRU. Each entry holds the
+// solveCacheCap bounds a SolveCache's LRU. Each entry holds the
 // objective, the dispatch vector (nG floats) and the packed key
 // (N + L floats), about 6 KB at ieee300 scale — a thousand entries cover
 // a cold selection's distinct candidates several times over for a few MB
 // per network.
-const defaultSolveCacheCap = 1024
+const solveCacheCap = 1024
 
-// solveGlobal aggregates dispatch-solve-cache traffic process-wide,
-// mirroring the lp package's global revised-simplex counters: lock-free
+// solveCounts receives every SolveCache lookup in the process: lock-free
 // increments on the serving path, one snapshot for /v1/stats and
 // mtdexp -v.
-var solveGlobal struct {
-	hits, misses atomic.Int64
-}
+var solveCounts memo.Counters
 
 // SolveCacheStats is a snapshot of the process-wide dispatch-solve-cache
 // counters.
 type SolveCacheStats struct {
 	// Hits / Misses count cache lookups by outcome. A hit returns the
-	// memoized LP result without running the simplex; a miss pays one
-	// full dispatch solve (counted in the lp Solves/PrescreenHits
-	// telemetry as usual).
+	// memoized LP result without running the simplex (a lookup that
+	// joined an in-flight solve counts as a hit); a miss is the one
+	// lookup that ran the dispatch solve (counted in the lp
+	// Solves/PrescreenHits telemetry as usual), so misses equal solves.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 }
@@ -42,8 +39,8 @@ func (s SolveCacheStats) Delta(since SolveCacheStats) SolveCacheStats {
 // GlobalSolveCacheStats returns the process-wide cache counters.
 func GlobalSolveCacheStats() SolveCacheStats {
 	return SolveCacheStats{
-		Hits:   int(solveGlobal.hits.Load()),
-		Misses: int(solveGlobal.misses.Load()),
+		Hits:   int(solveCounts.Hit.Load() + solveCounts.Joined.Load()),
+		Misses: int(solveCounts.Computed.Load()),
 	}
 }
 
@@ -66,36 +63,18 @@ func GlobalSolveCacheStats() SolveCacheStats {
 // (infeasibility, PTDF build failures — all pure functions of the input)
 // are cached like results.
 //
-// A SolveCache is safe for concurrent use. A nil cache is valid and means
-// every solve runs fresh (the dense path, which keeps its historical
-// bitwise behavior).
-type SolveCache struct {
-	cap int
+// A SolveCache is safe for concurrent use. A nil cache means every solve
+// runs fresh (the dense path, which keeps its historical bitwise
+// behavior).
+type SolveCache = memo.Cache[string, solved]
 
-	mu      sync.Mutex
-	entries map[string]*solveEntry
-	lru     *list.List // front = most recent; values are keys
+// solved is one memoized LP result.
+type solved struct {
+	obj float64
+	x   []float64 // optimal dispatch (MW)
 }
 
-type solveEntry struct {
-	once sync.Once
-	obj  float64
-	x    []float64 // optimal dispatch (MW), nil on error
-	err  error
-	elem *list.Element
-}
-
-// newSolveCache builds a cache; capacity <= 0 selects the default.
-func newSolveCache(capacity int) *SolveCache {
-	if capacity <= 0 {
-		capacity = defaultSolveCacheCap
-	}
-	return &SolveCache{
-		cap:     capacity,
-		entries: map[string]*solveEntry{},
-		lru:     list.New(),
-	}
-}
+func newSolveCache() *SolveCache { return memo.New[string, solved](solveCacheCap, &solveCounts, nil) }
 
 // solveKey packs the bit patterns of the network's current bus loads and
 // the candidate reactances into a map key. Loads are part of the key
@@ -119,25 +98,4 @@ func (e *DispatchEngine) solveKey(x []float64) string {
 		put(v)
 	}
 	return string(b)
-}
-
-// entry returns the cache slot for key, creating (and LRU-evicting) as
-// needed. ok reports whether the slot already existed.
-func (c *SolveCache) entry(key string) (e *solveEntry, ok bool) {
-	c.mu.Lock()
-	e, ok = c.entries[key]
-	if ok {
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e = &solveEntry{}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		for c.lru.Len() > c.cap {
-			old := c.lru.Back()
-			c.lru.Remove(old)
-			delete(c.entries, old.Value.(string))
-		}
-	}
-	c.mu.Unlock()
-	return e, ok
 }

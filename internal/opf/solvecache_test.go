@@ -7,34 +7,37 @@ import (
 	"gridmtd/internal/grid"
 )
 
-// TestSolveCacheLRU unit-tests the entry store: capacity bounds the map,
-// the least recently used key is evicted first, and a re-touched key
-// survives.
+// TestSolveCacheLRU pins the memo's hit/miss accounting on the engine's
+// key: a fresh (loads, x) misses, a bitwise repeat hits, and the same x
+// under different loads misses again (loads are part of the key). LRU
+// eviction order is memo's and is tested there once (TestLRUEviction).
 func TestSolveCacheLRU(t *testing.T) {
-	c := newSolveCache(2)
-	if _, ok := c.entry("a"); ok {
-		t.Fatal("fresh key reported as existing")
+	n, err := grid.CaseByName("case14")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.entry("b"); ok {
-		t.Fatal("fresh key reported as existing")
+	eng, err := NewDispatchEngineBackend(n, grid.SparseBackend)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.entry("a"); !ok {
-		t.Fatal("cached key not found")
+	x := n.Reactances()
+	x[1] *= 1.03
+	cost := func(want SolveCacheStats) {
+		t.Helper()
+		before := GlobalSolveCacheStats()
+		if _, err := eng.Cost(x); err != nil {
+			t.Fatal(err)
+		}
+		if d := GlobalSolveCacheStats().Delta(before); d != want {
+			t.Fatalf("lookup: %+v, want %+v", d, want)
+		}
 	}
-	// "b" is now the LRU entry; inserting "c" must evict it, not "a".
-	c.entry("c")
-	if _, ok := c.entry("a"); !ok {
-		t.Fatal("recently used key was evicted")
-	}
-	// That lookup refreshed "a"; "c" fell behind and the next insert
-	// evicts it.
-	c.entry("d")
-	if _, ok := c.entry("c"); ok {
-		t.Fatal("LRU key survived eviction")
-	}
-	if len(c.entries) > 2 || c.lru.Len() > 2 {
-		t.Fatalf("cache grew past capacity: %d entries", len(c.entries))
-	}
+	miss, hit := SolveCacheStats{Misses: 1}, SolveCacheStats{Hits: 1}
+	cost(miss)
+	cost(hit)
+	n.Buses[2].LoadMW *= 1.1
+	cost(miss)
+	cost(hit)
 }
 
 // TestSolveCacheHitReturnsBitwiseResult is the memo's transparency

@@ -23,17 +23,17 @@
 package planner
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/memo"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/planner/diskcache"
 	"gridmtd/internal/scenario"
@@ -107,7 +107,7 @@ type Stats struct {
 	// (lp.GlobalRevisedStats) taken when the Stats call was answered.
 	// Warm-path health (eta updates vs refactorizations, fallback rate)
 	// is the production-observable face of the dispatch-solve cost.
-	LP LPStats `json:"lp"`
+	LP lp.RevisedStats `json:"lp"`
 	// Estimators is the process-wide estimator-cache snapshot
 	// (core.GlobalEstimatorCacheStats): how many state-estimator rebuilds
 	// repeat selections avoided, and how many of the remaining builds the
@@ -147,64 +147,6 @@ func (s Stats) Delta(since Stats) Stats {
 	}
 }
 
-// LPStats mirrors lp.RevisedStats with the JSON field names /v1/stats
-// serves. See lp.RevisedStats for the counters' precise meanings.
-type LPStats struct {
-	Solves           int `json:"solves"`
-	WarmSolves       int `json:"warm_solves"`
-	ColdSolves       int `json:"cold_solves"`
-	Fallbacks        int `json:"fallbacks"`
-	PrimalPivots     int `json:"primal_pivots"`
-	DualPivots       int `json:"dual_pivots"`
-	SEPivots         int `json:"se_pivots"`
-	BoundFlips       int `json:"bound_flips"`
-	EtaUpdates       int `json:"eta_updates"`
-	Refactorizations int `json:"refactorizations"`
-	PrescreenHits    int `json:"prescreen_hits"`
-	PrescreenProbes  int `json:"prescreen_probes"`
-	InfeasibleSolves int `json:"infeasible_solves"`
-}
-
-// Delta returns the field-wise counter increments s − since.
-func (s LPStats) Delta(since LPStats) LPStats {
-	return LPStats{
-		Solves:           s.Solves - since.Solves,
-		WarmSolves:       s.WarmSolves - since.WarmSolves,
-		ColdSolves:       s.ColdSolves - since.ColdSolves,
-		Fallbacks:        s.Fallbacks - since.Fallbacks,
-		PrimalPivots:     s.PrimalPivots - since.PrimalPivots,
-		DualPivots:       s.DualPivots - since.DualPivots,
-		SEPivots:         s.SEPivots - since.SEPivots,
-		BoundFlips:       s.BoundFlips - since.BoundFlips,
-		EtaUpdates:       s.EtaUpdates - since.EtaUpdates,
-		Refactorizations: s.Refactorizations - since.Refactorizations,
-		PrescreenHits:    s.PrescreenHits - since.PrescreenHits,
-		PrescreenProbes:  s.PrescreenProbes - since.PrescreenProbes,
-		InfeasibleSolves: s.InfeasibleSolves - since.InfeasibleSolves,
-	}
-}
-
-// lpStatsSnapshot converts the process-wide lp counters into the
-// JSON-tagged mirror.
-func lpStatsSnapshot() LPStats {
-	g := lp.GlobalRevisedStats()
-	return LPStats{
-		Solves:           g.Solves,
-		WarmSolves:       g.WarmSolves,
-		ColdSolves:       g.ColdSolves,
-		Fallbacks:        g.Fallbacks,
-		PrimalPivots:     g.PrimalPivots,
-		DualPivots:       g.DualPivots,
-		SEPivots:         g.SEPivots,
-		BoundFlips:       g.BoundFlips,
-		EtaUpdates:       g.EtaUpdates,
-		Refactorizations: g.Refactorizations,
-		PrescreenHits:    g.PrescreenHits,
-		PrescreenProbes:  g.PrescreenProbes,
-		InfeasibleSolves: g.InfeasibleSolves,
-	}
-}
-
 // Planner is the long-running selection service. Safe for concurrent use.
 type Planner struct {
 	cfg    Config
@@ -212,58 +154,58 @@ type Planner struct {
 	adm    *admission
 	disk   *diskcache.Cache
 
-	mu      sync.Mutex
-	cases   map[string]*caseEntry
-	caseLRU *list.List // front = most recent; values are case keys
-	results map[string]*resultEntry
-	resLRU  *list.List
-	stats   Stats
+	cases   *memo.Cache[string, *grid.Network]
+	results *memo.Cache[string, result]
+	// caseCounts and resultCounts receive the two memos' lookup outcomes;
+	// Stats reports them as the case and result counters.
+	caseCounts, resultCounts memo.Counters
+	// gammaExact and gammaSketch count computed requests by the γ backend
+	// that served them.
+	gammaExact, gammaSketch atomic.Int64
 }
 
-type caseEntry struct {
-	once sync.Once
-	net  *grid.Network
-	err  error
-	elem *list.Element
-}
-
-type resultEntry struct {
-	once    sync.Once
-	done    chan struct{} // closed when the computation (or disk load) finished
+// result is one memoized response and how it was produced.
+type result struct {
 	resp    any
-	err     error
 	elapsed time.Duration
-	source  string // sourceComputed or sourceDisk, set by the first caller
-	elem    *list.Element
+	source  string // SourceComputed or SourceDisk
 }
 
 // New builds a planner.
 func New(cfg Config) *Planner {
 	cfg = cfg.withDefaults()
-	return &Planner{
-		cfg:     cfg,
-		runner:  scenario.NewRunner(),
-		adm:     newAdmission(cfg.MaxInflight, cfg.QueueDepth),
-		disk:    cfg.Disk,
-		cases:   map[string]*caseEntry{},
-		caseLRU: list.New(),
-		results: map[string]*resultEntry{},
-		resLRU:  list.New(),
+	p := &Planner{
+		cfg:    cfg,
+		runner: scenario.NewRunner(),
+		adm:    newAdmission(cfg.MaxInflight, cfg.QueueDepth),
+		disk:   cfg.Disk,
 	}
+	p.cases = memo.New[string, *grid.Network](cfg.MaxCases, &p.caseCounts, nil)
+	// A shed is never memoized: the entry is dropped before its waiters
+	// return, so a retry re-enters the admission queue instead of
+	// replaying the rejection from cache.
+	p.results = memo.New[string, result](cfg.MaxResults, &p.resultCounts,
+		func(err error) bool { return errors.Is(err, ErrOverloaded) })
+	return p
 }
 
 // Stats returns a snapshot of the cache counters plus the process-wide
 // revised-simplex counters.
 func (p *Planner) Stats() Stats {
-	p.mu.Lock()
-	s := p.stats
-	p.mu.Unlock()
-	s.LP = lpStatsSnapshot()
-	s.Estimators = core.GlobalEstimatorCacheStats()
-	s.SolveCache = opf.GlobalSolveCacheStats()
-	s.Admission = p.adm.stats()
-	s.Disk = p.disk.Stats()
-	return s
+	return Stats{
+		CaseHits:          p.caseCounts.Hit.Load() + p.caseCounts.Joined.Load(),
+		CaseMisses:        p.caseCounts.Computed.Load(),
+		ResultHits:        p.resultCounts.Hit.Load(),
+		ResultMisses:      p.resultCounts.Computed.Load(),
+		ResultCoalesced:   p.resultCounts.Joined.Load(),
+		GammaExactServed:  p.gammaExact.Load(),
+		GammaSketchServed: p.gammaSketch.Load(),
+		LP:                lp.GlobalRevisedStats(),
+		Estimators:        core.GlobalEstimatorCacheStats(),
+		SolveCache:        opf.GlobalSolveCacheStats(),
+		Admission:         p.adm.stats(),
+		Disk:              p.disk.Stats(),
+	}
 }
 
 // caseFor resolves the immutable network of a (case, load scale) pair
@@ -274,35 +216,14 @@ func (p *Planner) caseFor(name string, scale float64) (*grid.Network, error) {
 		scale = 1
 	}
 	key := fmt.Sprintf("%s|%g", name, scale)
-	p.mu.Lock()
-	e, ok := p.cases[key]
-	if ok {
-		p.stats.CaseHits++
-		p.caseLRU.MoveToFront(e.elem)
-	} else {
-		p.stats.CaseMisses++
-		e = &caseEntry{}
-		e.elem = p.caseLRU.PushFront(key)
-		p.cases[key] = e
-		for p.caseLRU.Len() > p.cfg.MaxCases {
-			old := p.caseLRU.Back()
-			p.caseLRU.Remove(old)
-			delete(p.cases, old.Value.(string))
-		}
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
+	n, _, err := p.cases.Get(key, func() (*grid.Network, error) {
 		n, err := grid.CaseByName(name)
-		if err != nil {
-			e.err = err
-			return
-		}
-		if scale != 1 {
+		if err == nil && scale != 1 {
 			n.ScaleLoads(scale)
 		}
-		e.net = n
+		return n, err
 	})
-	return e.net, e.err
+	return n, err
 }
 
 // The Source values a served response reports: where its payload came
@@ -327,83 +248,40 @@ const (
 // in-flight computation (coalesced) or reading the finished entry (memo
 // hit). The returned source labels which of the four paths served.
 func (p *Planner) memo(key string, compute func() (any, error)) (resp any, elapsed time.Duration, source string, err error) {
-	p.mu.Lock()
-	e, ok := p.results[key]
-	if ok {
-		select {
-		case <-e.done:
-			p.stats.ResultHits++
-			source = SourceMemo
-		default:
-			p.stats.ResultCoalesced++
-			source = SourceCoalesced
-		}
-		p.resLRU.MoveToFront(e.elem)
-	} else {
-		p.stats.ResultMisses++
-		e = &resultEntry{done: make(chan struct{})}
-		e.elem = p.resLRU.PushFront(key)
-		p.results[key] = e
-		for p.resLRU.Len() > p.cfg.MaxResults {
-			old := p.resLRU.Back()
-			p.resLRU.Remove(old)
-			delete(p.results, old.Value.(string))
-		}
-	}
-	p.mu.Unlock()
-	first := false
-	e.once.Do(func() {
-		first = true
-		defer close(e.done)
+	r, outcome, err := p.results.Get(key, func() (result, error) {
 		start := time.Now()
-		e.source = SourceComputed
 		if data, hit := p.disk.Get(p.diskKey(key)); hit {
-			if r, derr := decodeResponse(key, data); derr == nil {
-				e.resp, e.source = r, SourceDisk
-				e.elapsed = time.Since(start)
-				return
+			if resp, derr := decodeResponse(key, data); derr == nil {
+				return result{resp, time.Since(start), SourceDisk}, nil
 			}
 			// The envelope key verified but the payload didn't decode (a
 			// response-schema change): fall through and recompute; the
 			// write-through below overwrites the stale entry.
 		}
 		if aerr := p.adm.acquire(); aerr != nil {
-			// Shed: report the error but never memoize it — the entry is
-			// evicted so a retry re-enters the queue instead of replaying
-			// the rejection from cache.
-			e.err = aerr
-			e.elapsed = time.Since(start)
-			p.dropResult(key, e)
-			return
+			return result{elapsed: time.Since(start), source: SourceComputed}, aerr
 		}
-		func() {
+		resp, err := func() (any, error) {
 			defer p.adm.release()
-			e.resp, e.err = compute()
+			return compute()
 		}()
 		// elapsed includes the admission queue wait: it is the latency a
 		// client actually observed for the computed request.
-		e.elapsed = time.Since(start)
-		if e.err == nil {
-			if data, merr := json.Marshal(e.resp); merr == nil {
+		r := result{resp, time.Since(start), SourceComputed}
+		if err == nil {
+			if data, merr := json.Marshal(resp); merr == nil {
 				p.disk.Put(p.diskKey(key), data)
 			}
 		}
+		return r, err
 	})
-	if first {
-		source = e.source
+	switch outcome {
+	case memo.Joined:
+		r.source = SourceCoalesced
+	case memo.Hit:
+		r.source = SourceMemo
 	}
-	return e.resp, e.elapsed, source, e.err
-}
-
-// dropResult evicts e from the memo if it is still the entry stored under
-// key (shed results must not be replayed from cache).
-func (p *Planner) dropResult(key string, e *resultEntry) {
-	p.mu.Lock()
-	if cur, ok := p.results[key]; ok && cur == e {
-		delete(p.results, key)
-		p.resLRU.Remove(e.elem)
-	}
-	p.mu.Unlock()
+	return r.resp, r.elapsed, r.source, err
 }
 
 // diskKey extends the bitwise memo key with the case registry content
@@ -594,12 +472,10 @@ func (p *Planner) computeSelect(req SelectRequest, gb core.GammaBackend) (*Selec
 // request (called only after a successful computation, with the engine's
 // resolved backend).
 func (p *Planner) countGammaServed(gb core.GammaBackend) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if subspace.EffectiveGammaBackend(gb) == core.SketchGamma {
-		p.stats.GammaSketchServed++
+		p.gammaSketch.Add(1)
 	} else {
-		p.stats.GammaExactServed++
+		p.gammaExact.Add(1)
 	}
 }
 

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/memo"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/sim"
 )
 
-// maxCachedEngines bounds the Runner's per-network dispatch-engine cache
-// (entries are evicted oldest-first; an evicted engine is simply rebuilt
-// on the next request for its network).
+// maxCachedEngines bounds the Runner's per-network dispatch-engine and
+// estimator caches (entries are evicted least recently used first; an
+// evicted engine is simply rebuilt on the next request for its network).
 const maxCachedEngines = 16
 
 // Runner executes compiled Specs. It owns the shared per-case engine
@@ -24,19 +24,20 @@ const maxCachedEngines = 16
 // per-worker DispatchSession/GammaSession affinity inside each unit coming
 // from the engines themselves. A Runner is safe for concurrent use; the
 // networks passed via Spec.Net are never mutated (load-changing workloads
-// run on private clones).
-//
-// The zero value is ready to use.
+// run on private clones). Concurrent first requests for one network share
+// a single engine build.
 type Runner struct {
-	mu        sync.Mutex
-	engines   map[*grid.Network]*opf.DispatchEngine
-	order     []*grid.Network
-	estCaches map[*grid.Network]*core.EstimatorCache
-	estOrder  []*grid.Network
+	engines   *memo.Cache[*grid.Network, *opf.DispatchEngine]
+	estCaches *memo.Cache[*grid.Network, *core.EstimatorCache]
 }
 
 // NewRunner returns an empty Runner.
-func NewRunner() *Runner { return &Runner{} }
+func NewRunner() *Runner {
+	return &Runner{
+		engines:   memo.New[*grid.Network, *opf.DispatchEngine](maxCachedEngines, nil, nil),
+		estCaches: memo.New[*grid.Network, *core.EstimatorCache](maxCachedEngines, nil, nil),
+	}
+}
 
 // Run compiles and executes the Spec.
 func (r *Runner) Run(spec Spec) (*Result, error) {
@@ -85,38 +86,15 @@ func (r *Runner) DispatchEngine(n *grid.Network, backend grid.Backend) (*opf.Dis
 }
 
 // dispatchEngine returns the engine for n, from the cache when cacheable
-// (caller-owned long-lived networks) or freshly built otherwise.
+// (caller-owned long-lived networks) or freshly built otherwise. A build
+// error is a pure function of the immutable network, so it is cached too.
 func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend, cacheable bool) (*opf.DispatchEngine, error) {
-	if cacheable {
-		r.mu.Lock()
-		e, ok := r.engines[n]
-		r.mu.Unlock()
-		if ok {
-			return e, nil
-		}
+	build := func() (*opf.DispatchEngine, error) { return opf.NewDispatchEngineBackend(n, backend) }
+	if !cacheable {
+		return build()
 	}
-	e, err := opf.NewDispatchEngineBackend(n, backend)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if existing, ok := r.engines[n]; ok {
-			// A concurrent request built it first; keep one.
-			return existing, nil
-		}
-		if r.engines == nil {
-			r.engines = make(map[*grid.Network]*opf.DispatchEngine)
-		}
-		if len(r.order) >= maxCachedEngines {
-			delete(r.engines, r.order[0])
-			r.order = r.order[1:]
-		}
-		r.engines[n] = e
-		r.order = append(r.order, n)
-	}
-	return e, nil
+	e, _, err := r.engines.Get(n, build)
+	return e, err
 }
 
 // EstimatorCache returns the runner's shared per-network estimator cache
@@ -125,21 +103,7 @@ func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend, cacheable
 // effectiveness config of explicit-x_old selections so repeated candidate
 // evaluations against one case reuse their post-MTD QR factorizations.
 func (r *Runner) EstimatorCache(n *grid.Network) *core.EstimatorCache {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.estCaches[n]; ok {
-		return c
-	}
-	c := core.NewEstimatorCache(n, 0)
-	if r.estCaches == nil {
-		r.estCaches = make(map[*grid.Network]*core.EstimatorCache)
-	}
-	if len(r.estOrder) >= maxCachedEngines {
-		delete(r.estCaches, r.estOrder[0])
-		r.estOrder = r.estOrder[1:]
-	}
-	r.estCaches[n] = c
-	r.estOrder = append(r.estOrder, n)
+	c, _, _ := r.estCaches.Get(n, func() (*core.EstimatorCache, error) { return core.NewEstimatorCache(n), nil })
 	return c
 }
 
@@ -197,7 +161,7 @@ func (st *execState) engineFor() (*opf.DispatchEngine, error) {
 func (st *execState) effectivenessCfg() core.EffectivenessConfig {
 	if st.estc == nil {
 		if st.owned {
-			st.estc = core.NewEstimatorCache(st.n, 0)
+			st.estc = core.NewEstimatorCache(st.n)
 		} else {
 			st.estc = st.r.EstimatorCache(st.n)
 		}

@@ -243,4 +243,18 @@ func TestRunnerEngineReuse(t *testing.T) {
 	if e3 != e1 {
 		t.Error("scenario run did not reuse the cached engine")
 	}
+	// The cache is LRU, not FIFO: a network used between inserts keeps
+	// its engine through maxCachedEngines inserts of other networks.
+	for i := 0; i < maxCachedEngines; i++ {
+		other, err := grid.CaseByName("ieee14")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.DispatchEngine(other, 0); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := r.DispatchEngine(n, 0); err != nil || e != e1 {
+			t.Fatalf("engine rebuilt after %d inserts of other networks (err %v)", i+1, err)
+		}
+	}
 }
