@@ -41,7 +41,7 @@ func TestSketchedAttackEvalAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sketchSet.sketch == nil {
+		if sketchSet.gamma.sketch == nil {
 			t.Fatalf("%s: SampleAttacks under SketchGamma did not build the screening evaluator", name)
 		}
 		for pi, xd := range backendTestPoints(n) {

@@ -48,6 +48,18 @@
 // (sparse-backend) attack sets consult it, keeping the small-case dense
 // path byte-identical.
 //
+// # One x_old side per request
+//
+// Everything that depends only on the attacker's knowledge x_old — the
+// exact basis of H(x_old) and, on the sketch backend, the old-side sketch
+// factorization — is built once, by the GammaEvaluator of an Engines
+// bundle. The request's attack set is sampled on that side
+// (Engines.SampleAttacks), and the exact winner γ that SelectMTD and
+// MaxGamma report is reused by EvaluateSelection instead of being
+// recomputed; both reuses are bitwise, so results equal the standalone
+// SampleAttacks/EvaluateAttacks pipeline. OperatingMeasurementsEngine takes
+// z_old from the bundle's dispatch engine for the same reason.
+//
 // # Solve memoization and restart screening
 //
 // The same bitwise-keying discipline governs the dispatch LP underneath

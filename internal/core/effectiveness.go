@@ -133,39 +133,26 @@ func (r *EffectivenessResult) EtaAt(delta float64) (float64, error) {
 // AttackSet is a batch of pre-crafted stealthy attacks, reusable across
 // many candidate perturbations (the paper's Figs. 6-8 evaluate the same
 // 1000-attack set against every MTD). The attacks are packed into one
-// contiguous backing array (see attack.Batch), and the orthonormal basis
-// of the crafting matrix H_old — which every γ evaluation against the set
-// needs — is computed once on first use and cached.
+// contiguous backing array (see attack.Batch).
+//
+// The set does not own its x_old side. The exact basis of H_old behind
+// every reported γ and, under SketchGamma, the sparse-Gram screening
+// evaluator belong to a GammaEvaluator: the bundle's own when the set is
+// sampled through Engines.SampleAttacks with a matching γ backend, a
+// private one built by SampleAttacks otherwise.
 type AttackSet struct {
 	// Batch holds the crafted attacks a = H_old·c, one per row.
 	Batch *attack.Batch
 	// HOld is the measurement matrix the attacks were crafted against.
 	HOld *mat.Dense
 
-	// fast selects the large-case γ kernels and the reduced γ-equivalent
-	// measurement representation (set by SampleAttacks when the network is
-	// at or above grid.SparseThreshold buses; zero-value AttackSets keep
-	// the bitwise-exact path).
-	fast bool
-
-	// sketch is the sparse-Gram screening evaluator for the analytic
-	// residual path, built by SampleAttacks when the configured γ backend
-	// resolves to SketchGamma (nil otherwise — zero-value and exact sets
-	// evaluate exactly throughout). anorm caches ‖a‖ per attack, the
-	// candidate-independent half of the screened residual identity.
-	sketch *subspace.SketchEvaluator
+	// gamma owns the x_old side. Its sketch is non-nil exactly when the
+	// analytic residual path screens through the sparse-Gram identity;
+	// anorm caches ‖a‖ per attack, the candidate-independent half of the
+	// screened residual identity.
+	gamma  *GammaEvaluator
 	anorm  []float64
 	skPool sync.Pool // *subspace.SketchSession for the screening chunks
-
-	basisOnce sync.Once
-	basisOld  *subspace.Basis
-	pool      sync.Pool // *evalWorkspace, reused across EvaluateAttacks calls
-}
-
-// evalWorkspace carries the per-evaluation scratch of EvaluateAttacks.
-type evalWorkspace struct {
-	ht *mat.Dense // candidate Hᵀ for the γ computation
-	ws subspace.Workspace
 }
 
 // Len returns the number of attacks in the set.
@@ -179,20 +166,29 @@ func (s *AttackSet) Len() int {
 // At materializes attack i as a standalone vector (copies).
 func (s *AttackSet) At(i int) *attack.Vector { return s.Batch.At(i) }
 
-// oldBasis returns the cached orthonormal basis of Col(HOld). Fast sets
-// (SampleAttacks on a ≥-threshold network) precompute it in the reduced
-// γ-equivalent representation; this lazy path serves the exact one.
-func (s *AttackSet) oldBasis() *subspace.Basis {
-	s.basisOnce.Do(func() {
-		ht := mat.TransposeInto(mat.NewDense(s.HOld.Cols(), s.HOld.Rows()), s.HOld)
-		s.basisOld = subspace.ComputeBasisT(ht, 0)
-	})
-	return s.basisOld
+// SampleAttacks draws cfg.NumAttacks random stealthy attacks against the
+// configuration xOld with operating measurements zOld, preparing a private
+// x_old side for cfg.GammaBackend.
+func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfig) (*AttackSet, error) {
+	return sampleAttacks(n, xOld, zOld, cfg, nil)
 }
 
-// SampleAttacks draws cfg.NumAttacks random stealthy attacks against the
-// configuration xOld with operating measurements zOld.
-func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfig) (*AttackSet, error) {
+// SampleAttacks is SampleAttacks against the bundle's x_old: the set
+// borrows the bundle's γ evaluator (basis and sketch) instead of building
+// another one. Only when cfg.GammaBackend resolves differently from the
+// backend the bundle was built for does the set prepare its own side, as
+// SampleAttacks does. The attacks are identical either way.
+func (e *Engines) SampleAttacks(zOld []float64, cfg EffectivenessConfig) (*AttackSet, error) {
+	g := e.gamma
+	if subspace.EffectiveGammaBackend(cfg.GammaBackend) != g.requested {
+		return SampleAttacks(g.n, g.xOld, zOld, cfg)
+	}
+	return sampleAttacks(g.n, g.xOld, zOld, cfg, g)
+}
+
+// sampleAttacks crafts the batch and attaches the x_old side g, building
+// one for cfg.GammaBackend when g is nil.
+func sampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfig, g *GammaEvaluator) (*AttackSet, error) {
 	cfg = cfg.withDefaults()
 	if len(zOld) != n.M() {
 		return nil, errors.New("core: operating measurement vector has wrong length")
@@ -203,35 +199,14 @@ func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfi
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	set := &AttackSet{
-		Batch: batch,
-		HOld:  hOld,
-		// Same backend-resolved seam as NewGammaEvaluator: -backend dense
-		// keeps the bitwise γ path even on large cases.
-		fast: grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend,
+	if g == nil {
+		g = NewGammaEvaluatorBackend(n, xOld, cfg.GammaBackend)
 	}
-	if set.fast {
-		// Precompute the H_old basis in the reduced γ-equivalent
-		// representation while the network is at hand (the lazy oldBasis
-		// path only has the full matrix).
-		set.basisOnce.Do(func() {
-			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-			n.MeasurementMatrixTGammaInto(xOld, ht)
-			set.basisOld = subspace.ComputeBasisTFast(ht, 0)
-		})
-	}
-	if subspace.EffectiveGammaBackend(cfg.GammaBackend) == SketchGamma {
-		// Screening machinery for the analytic residual path. A failed
-		// construction (rank-deficient x_old Gram matrix) silently keeps the
-		// exact path — the same degrade rule as the γ engine.
-		et, g := n.GammaSketchOperands()
-		dOld := make([]float64, n.L())
-		if sk, err := subspace.NewSketchEvaluator(et, g, invInto(dOld, xOld), subspace.SketchConfig{Seed: 1}); err == nil {
-			set.sketch = sk
-			set.anorm = make([]float64, batch.Len())
-			for k := range set.anorm {
-				set.anorm[k] = mat.Norm2(batch.A(k))
-			}
+	set := &AttackSet{Batch: batch, HOld: hOld, gamma: g}
+	if g.sketch != nil {
+		set.anorm = make([]float64, batch.Len())
+		for k := range set.anorm {
+			set.anorm[k] = mat.Norm2(batch.A(k))
 		}
 	}
 	return set, nil
@@ -250,13 +225,39 @@ func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfi
 // band around a decision threshold (a δ noncentrality threshold or the
 // undetectability cutoff) is re-evaluated exactly, so the reported η′(δ)
 // rows and UndetectableFraction are identical to the exact path's.
+//
+// The reported γ is the exact γ(H_old, H(xNew)) against the set's x_old
+// side.
 func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg EffectivenessConfig) (*EffectivenessResult, error) {
+	return evaluateAttacks(n, set, xNew, cfg, nil)
+}
+
+// EvaluateSelection is EvaluateAttacks for a selection's reactances that
+// reports the selection's own γ instead of recomputing it. SelectMTD and
+// MaxGamma report the exact γ of the winner against their evaluator's
+// x_old side, which is the very number EvaluateAttacks would compute when
+// the set's x_old side is the same one; the η′ rows are
+// EvaluateAttacks's. A selection from another x_old side (or built by
+// hand) gets its γ recomputed, so the result always equals
+// EvaluateAttacks(n, set, sel.Reactances, cfg) bitwise.
+func EvaluateSelection(n *grid.Network, set *AttackSet, sel *Selection, cfg EffectivenessConfig) (*EffectivenessResult, error) {
+	if sel.gammaOf != nil && sel.gammaOf.sameOldSide(set.gamma) {
+		return evaluateAttacks(n, set, sel.Reactances, cfg, &sel.Gamma)
+	}
+	return EvaluateAttacks(n, set, sel.Reactances, cfg)
+}
+
+// evaluateAttacks is EvaluateAttacks reporting *gamma when it is given
+// instead of computing the γ.
+func evaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg EffectivenessConfig, gamma *float64) (*EffectivenessResult, error) {
 	cfg = cfg.withDefaults()
 	if set.Len() == 0 {
 		return nil, errors.New("core: empty attack set")
 	}
-	useSketch := set.sketch != nil && !cfg.MonteCarlo && !cfg.ReportProbs
-	var hNew *mat.Dense
+	if set.gamma == nil {
+		return nil, errors.New("core: attack set has no x_old side (build it with SampleAttacks)")
+	}
+	useSketch := set.gamma.sketch != nil && !cfg.MonteCarlo && !cfg.ReportProbs
 	var est *se.Estimator
 	// ensureEst builds the dense QR estimator on demand: always on the
 	// exact path, lazily on the sketched path (only if a screening band
@@ -265,7 +266,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 	// path never does.
 	ensureEst := func() (*se.Estimator, error) {
 		if est == nil {
-			if set.fast && cfg.Estimators != nil {
+			if set.gamma.fast && cfg.Estimators != nil {
 				e, err := cfg.Estimators.Get(n, xNew)
 				if err != nil {
 					return nil, fmt.Errorf("core: post-MTD estimator: %w", err)
@@ -273,10 +274,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 				est = e
 				return est, nil
 			}
-			if hNew == nil {
-				hNew = n.MeasurementMatrix(xNew)
-			}
-			e, err := se.NewEstimator(hNew)
+			e, err := se.NewEstimator(n.MeasurementMatrix(xNew))
 			if err != nil {
 				return nil, fmt.Errorf("core: post-MTD estimator: %w", err)
 			}
@@ -392,31 +390,12 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 		}
 	}
 
-	// γ against the cached basis of H_old; the candidate side reuses the
-	// pooled workspace. Fast sets evaluate in the reduced γ-equivalent
-	// representation (identical angles, 38% fewer reduction rows).
-	w, _ := set.pool.Get().(*evalWorkspace)
-	if w == nil {
-		cols := n.M()
-		if set.fast {
-			cols = n.GammaAmbient()
-		}
-		w = &evalWorkspace{ht: mat.NewDense(n.N()-1, cols)}
-		w.ws.Fast = set.fast
+	if gamma == nil {
+		g := set.gamma.GammaExact(xNew)
+		gamma = &g
 	}
-	if set.fast {
-		n.MeasurementMatrixTGammaInto(xNew, w.ht)
-	} else {
-		if hNew == nil {
-			hNew = n.MeasurementMatrix(xNew)
-		}
-		mat.TransposeInto(w.ht, hNew)
-	}
-	gamma := w.ws.GammaBases(set.oldBasis(), w.ws.BasisT(w.ht, 0))
-	set.pool.Put(w)
-
 	return &EffectivenessResult{
-		Gamma:                gamma,
+		Gamma:                *gamma,
 		Deltas:               mat.CopyVec(cfg.Deltas),
 		Eta:                  eta,
 		DetectionProbs:       probs,
@@ -452,7 +431,7 @@ func (s *AttackSet) screenedResiduals(n *grid.Network, xNew []float64, paralleli
 	_, chunkErr := forEachAttackChunk(numAtt, parallelism, func(from, to int) (int, error) {
 		ss, _ := s.skPool.Get().(*subspace.SketchSession)
 		if ss == nil {
-			ss = s.sketch.NewSession()
+			ss = s.gamma.sketch.NewSession()
 		}
 		defer s.skPool.Put(ss)
 		if !ss.PrepareCandidate(d) {
@@ -594,7 +573,22 @@ func Effectiveness(n *grid.Network, xOld, xNew, zOld []float64, cfg Effectivenes
 // resulting operating point. This is the z against which attack magnitudes
 // are scaled.
 func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
-	res, err := opf.SolveDispatch(n, x)
+	engine, err := opf.NewDispatchEngine(n)
+	if err != nil {
+		return nil, fmt.Errorf("core: operating point: %w", err)
+	}
+	return OperatingMeasurementsEngine(n, engine, x)
+}
+
+// OperatingMeasurementsEngine is OperatingMeasurements on a pre-built
+// dispatch engine for n, so a caller that already holds one skips the
+// throwaway engine (and, on the sparse path, usually hits the engine's
+// solve memo). The dispatch, and hence z, is bitwise the one
+// OperatingMeasurements computes as long as the engine resolves to the same
+// backend and, on the sparse path, n still has the reference reactances
+// the engine's seed basis was taken at.
+func OperatingMeasurementsEngine(n *grid.Network, engine *opf.DispatchEngine, x []float64) ([]float64, error) {
+	res, err := engine.Solve(x)
 	if err != nil {
 		return nil, fmt.Errorf("core: operating point: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"gridmtd/internal/grid"
@@ -23,10 +24,14 @@ const (
 )
 
 // GammaEvaluator evaluates γ(H(x_old), H(x')) for many candidates x'
-// against a fixed pre-perturbation configuration x_old. It prepares the
-// x_old side exactly once at construction and keeps per-goroutine
-// workspaces in a pool, so each evaluation performs only the
-// candidate-side work and allocates nothing in steady state.
+// against a fixed pre-perturbation configuration x_old, and it owns that
+// x_old side: the exact orthonormal basis of H(x_old) and, on the sketch
+// backend, the sketch evaluator's old-side factorization. They are built
+// exactly once, at construction; attack sets sampled through the same
+// Engines bundle (Engines.SampleAttacks) borrow them instead of building
+// their own, so one selection request prepares its x_old side once.
+// Per-goroutine workspaces live in a pool, so each evaluation performs only
+// the candidate-side work and allocates nothing in steady state.
 //
 // A GammaEvaluator is safe for concurrent use; the parallel multi-start
 // search shares one evaluator across all workers.
@@ -48,12 +53,14 @@ const (
 //     cannot certify the bound; SelectMTD/MaxGamma additionally re-check
 //     the winning candidate exactly, so reported γ values stay exact.
 type GammaEvaluator struct {
-	n       *grid.Network
-	backend GammaBackend // resolved: Exact or Sketch
-	fast    bool         // exact-path kernel family (the grid-backend seam)
-	qOld    *subspace.Basis
-	sketch  *subspace.SketchEvaluator // non-nil iff backend == SketchGamma
-	pool    sync.Pool                 // *gammaWorkspace
+	n         *grid.Network
+	xOld      []float64
+	requested GammaBackend // resolved request: Exact or Sketch
+	backend   GammaBackend // serving: Exact, or Sketch when its construction succeeded
+	fast      bool         // exact-path kernel family (the grid-backend seam)
+	qOld      *subspace.Basis
+	sketch    *subspace.SketchEvaluator // non-nil iff backend == SketchGamma
+	pool      sync.Pool                 // *gammaWorkspace
 }
 
 type gammaWorkspace struct {
@@ -84,7 +91,7 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 	// the whole fast family — γ and LP always sit on the same side of the
 	// contract.
 	fast := grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend
-	e := &GammaEvaluator{n: n, backend: gb, fast: fast}
+	e := &GammaEvaluator{n: n, xOld: mat.CopyVec(xOld), requested: gb, backend: gb, fast: fast}
 
 	if gb == SketchGamma {
 		et, g := n.GammaSketchOperands()
@@ -98,8 +105,9 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 		}
 	}
 
-	// Exact x_old basis. It doubles as the sketch's fallback side (and the
-	// SelectMTD/MaxGamma winner re-check), so it is always prepared.
+	// Exact x_old basis. It doubles as the sketch's fallback side, the
+	// SelectMTD/MaxGamma winner re-check and the γ of every attack-set
+	// evaluation, so it is always prepared.
 	if fast {
 		// The fast path works in the reduced γ-equivalent representation
 		// (flow block once, √2-weighted): identical angles from 38% fewer
@@ -134,6 +142,24 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 
 // Backend reports the resolved γ backend actually serving this evaluator.
 func (e *GammaEvaluator) Backend() GammaBackend { return e.backend }
+
+// sameOldSide reports whether o prepares the same x_old side as e: the
+// same network, exact kernel family and bitwise x_old. Exact γ values
+// computed against either evaluator are then interchangeable.
+func (e *GammaEvaluator) sameOldSide(o *GammaEvaluator) bool {
+	if e == o {
+		return true
+	}
+	if o == nil || e.n != o.n || e.fast != o.fast || len(e.xOld) != len(o.xOld) {
+		return false
+	}
+	for i, v := range e.xOld {
+		if math.Float64bits(v) != math.Float64bits(o.xOld[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // exactReduced reports whether the exact path (primary or fallback) works
 // in the reduced representation.

@@ -236,4 +236,9 @@ func TestAttackSetAccessors(t *testing.T) {
 	if set.Batch.A(3)[0] != orig {
 		t.Fatal("At returned a view into the batch")
 	}
+	// A set assembled by hand has no x_old side to evaluate against.
+	bare := &AttackSet{Batch: set.Batch, HOld: set.HOld}
+	if _, err := EvaluateAttacks(n, bare, xt, EffectivenessConfig{}); err == nil {
+		t.Fatal("EvaluateAttacks accepted a set without an x_old side")
+	}
 }

@@ -110,7 +110,7 @@ func TestEvaluateAttacksWithEstimatorCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !set.fast {
+	if !set.gamma.fast {
 		t.Fatal("ieee118 attack set is not fast; the cache gate would never open")
 	}
 	cached := cfg

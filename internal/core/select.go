@@ -36,6 +36,11 @@ type Selection struct {
 	// cost of problem (1) — dispatch AND D-FACTS reactances optimized
 	// without any γ constraint.
 	BaselineCost float64
+
+	// gammaOf is the evaluator whose x_old side Gamma was computed
+	// against; EvaluateSelection reuses Gamma for attack sets on the same
+	// side.
+	gammaOf *GammaEvaluator
 }
 
 // SelectConfig tunes the problem-(4) search.
@@ -116,7 +121,9 @@ func SelectMTD(n *grid.Network, xOld []float64, cfg SelectConfig) (*Selection, e
 // γ-threshold bisection, a γ sweep, the planner service) build them once
 // via NewEngines; batched drivers that already hold a dispatch engine for
 // the case share it via NewEnginesShared, so only the (x_old-keyed) γ side
-// is rebuilt per configuration.
+// is rebuilt per configuration. The γ side is also the x_old side of the
+// request's attack set (Engines.SampleAttacks), and the selections report
+// the exact winner γ that EvaluateSelection reuses.
 type Engines struct {
 	gamma    *GammaEvaluator
 	dispatch *opf.DispatchEngine
@@ -286,6 +293,7 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 		Gamma:        gamma,
 		CostIncrease: OperationalCost(baselineCost, res.CostPerHour),
 		BaselineCost: baselineCost,
+		gammaOf:      eng.gamma,
 	}, nil
 }
 
@@ -396,7 +404,10 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 	// Same tolerance contract as selectMTD: the reported γ (and the backoff
 	// ladder's thresholds, which are fractions of it) come from the exact
 	// evaluator even when an approximate backend guided the corner poll and
-	// the local searches.
+	// the local searches. On the exact backend bestG already is that value:
+	// every candidate above was scored by the exact path, and MultiStart
+	// re-evaluates its winner at the returned point — so EvaluateSelection
+	// may reuse it.
 	if eng.gamma.Backend() == SketchGamma {
 		bestG = eng.gamma.GammaDFACTSExact(bestX)
 	}
@@ -438,6 +449,7 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		Gamma:        bestG,
 		CostIncrease: OperationalCost(baselineCost, opfRes.CostPerHour),
 		BaselineCost: baselineCost,
+		gammaOf:      eng.gamma,
 	}, nil
 }
 

@@ -61,16 +61,17 @@ func TuneGammaThresholdWith(eng *Engines, n *grid.Network, xOld, zOld []float64,
 	cfg.Effectiveness.Deltas = []float64{cfg.TargetDelta}
 
 	// The cached evaluators — the γ engine (keyed by xOld), the dispatch
-	// engine, and the attack set — are built once. Every bisection
-	// iteration reuses them; the attack sampler is reseeded per
-	// Effectiveness call in the uncached path, so hoisting it out of the
-	// loop reproduces exactly the same attacks.
-	attacks, err := SampleAttacks(n, xOld, zOld, cfg.Effectiveness)
+	// engine, and the attack set, which shares the γ engine's x_old side —
+	// are built once. Every bisection iteration reuses them; the attack
+	// sampler is reseeded per Effectiveness call in the uncached path, so
+	// hoisting it out of the loop reproduces exactly the same attacks. Each
+	// selection's exact γ is reused, not recomputed.
+	attacks, err := eng.SampleAttacks(zOld, cfg.Effectiveness)
 	if err != nil {
 		return nil, nil, err
 	}
 	evalEta := func(sel *Selection) (*EffectivenessResult, float64, error) {
-		eff, err := EvaluateAttacks(n, attacks, sel.Reactances, cfg.Effectiveness)
+		eff, err := EvaluateSelection(n, attacks, sel, cfg.Effectiveness)
 		if err != nil {
 			return nil, 0, err
 		}

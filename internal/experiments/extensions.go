@@ -69,7 +69,7 @@ func RunImpact(cfg ImpactConfig) (*ImpactResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: impact OPF: %w", err)
 	}
-	z, err := core.OperatingMeasurements(n, pre.Reactances)
+	z, err := core.OperatingMeasurementsEngine(n, engine, pre.Reactances)
 	if err != nil {
 		return nil, err
 	}

@@ -521,11 +521,11 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 	if err != nil {
 		return nil, err
 	}
-	zOld, err := core.OperatingMeasurements(n, req.XOld)
+	zOld, err := core.OperatingMeasurementsEngine(n, eng, req.XOld)
 	if err != nil {
 		return nil, err
 	}
-	attacks, err := core.SampleAttacks(n, req.XOld, zOld, effCfg)
+	attacks, err := engines.SampleAttacks(zOld, effCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +534,7 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 	// on a miss) — the network pointer comes from the planner's case LRU,
 	// so the key is effectively (case, load scale, x_new).
 	effCfg.Estimators = p.runner.EstimatorCache(n)
-	eff, err := core.EvaluateAttacks(n, attacks, sel.Reactances, effCfg)
+	eff, err := core.EvaluateSelection(n, attacks, sel, effCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -221,7 +221,7 @@ func (st *execState) setupGammaSweep() error {
 			if err != nil {
 				return fmt.Errorf("scenario: previous-hour OPF: %w", err)
 			}
-			st.zOld, err = core.OperatingMeasurements(st.n, prev.Reactances)
+			st.zOld, err = core.OperatingMeasurementsEngine(st.n, eng, prev.Reactances)
 			if err != nil {
 				return err
 			}
@@ -252,19 +252,16 @@ func (st *execState) setupGammaSweep() error {
 	if st.xOld == nil {
 		var err error
 		st.xOld = st.pre.Reactances
-		st.zOld, err = core.OperatingMeasurements(st.n, st.xOld)
+		st.zOld, err = core.OperatingMeasurementsEngine(st.n, st.eng, st.xOld)
 		if err != nil {
 			return err
 		}
 	}
-	var err error
-	st.attacks, err = core.SampleAttacks(st.n, st.xOld, st.zOld, spec.Effectiveness)
-	if err != nil {
-		return err
-	}
 	st.engines = core.NewEnginesSharedBackend(st.n, st.xOld, st.eng, st.spec.GammaBackend)
 	st.res.GammaBackendUsed = st.engines.Gamma().Backend()
-	return nil
+	var err error
+	st.attacks, err = st.engines.SampleAttacks(st.zOld, spec.Effectiveness)
+	return err
 }
 
 // sweepPoint solves problem (4) at one γ threshold and evaluates it
@@ -319,11 +316,11 @@ func (st *execState) sweepCap() error {
 	return st.appendSelection(sel, 0)
 }
 
-// appendSelection evaluates a selection against the shared attack set and
-// records the sweep row, chaining its setting as the next point's warm
-// start.
+// appendSelection evaluates a selection against the shared attack set
+// (reusing the selection's exact γ) and records the sweep row, chaining its
+// setting as the next point's warm start.
 func (st *execState) appendSelection(sel *core.Selection, target float64) error {
-	eff, err := core.EvaluateAttacks(st.n, st.attacks, sel.Reactances, st.effectivenessCfg())
+	eff, err := core.EvaluateSelection(st.n, st.attacks, sel, st.effectivenessCfg())
 	if err != nil {
 		return err
 	}
@@ -417,7 +414,7 @@ func (st *execState) setupRandomKeys() error {
 		return fmt.Errorf("scenario: pre-perturbation OPF: %w", err)
 	}
 	st.xOld = st.pre.Reactances
-	st.zOld, err = core.OperatingMeasurements(st.n, st.xOld)
+	st.zOld, err = core.OperatingMeasurementsEngine(st.n, eng, st.xOld)
 	if err != nil {
 		return err
 	}

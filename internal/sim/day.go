@@ -154,7 +154,18 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d no-MTD OPF: %w", h, err)
 		}
-		zNow, err := core.OperatingMeasurements(net, noMTD.Reactances)
+		// The day engine reproduces the throwaway-engine operating point
+		// bitwise while the work network keeps the reactances the engine
+		// was seeded at. Once PersistReactances has installed others, a
+		// sparse engine's seed basis no longer matches a fresh engine's
+		// (last-bit differences in z on ieee300), so those hours keep the
+		// fresh engine.
+		var zNow []float64
+		if cfg.PersistReactances && installedX != nil {
+			zNow, err = core.OperatingMeasurements(net, noMTD.Reactances)
+		} else {
+			zNow, err = core.OperatingMeasurementsEngine(net, engine, noMTD.Reactances)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d operating point: %w", h, err)
 		}

@@ -2,9 +2,37 @@ package subspace
 
 import (
 	"math"
+	"sync/atomic"
 
 	"gridmtd/internal/mat"
 )
+
+// buildCounts tallies the expensive constructions of this package
+// process-wide: every exact orthonormal basis (old side or candidate, on
+// either kernel family) and every sketch evaluator. They are pure work
+// counts, so a request's delta is deterministic and pins how often a
+// caller rebuilds the same x_old side or re-evaluates the same candidate.
+var buildCounts struct{ bases, sketches atomic.Int64 }
+
+// BuildStats is a snapshot of the process-wide construction counters.
+type BuildStats struct {
+	// Bases counts exact basis builds: ComputeBasis, ComputeBasisT,
+	// ComputeBasisTFast and Workspace.BasisT.
+	Bases int `json:"bases"`
+	// Sketches counts NewSketchEvaluator calls, failed constructions
+	// included.
+	Sketches int `json:"sketches"`
+}
+
+// GlobalBuildStats returns the process-wide construction counters.
+func GlobalBuildStats() BuildStats {
+	return BuildStats{Bases: int(buildCounts.bases.Load()), Sketches: int(buildCounts.sketches.Load())}
+}
+
+// Delta returns the field-wise counter increments s − since.
+func (s BuildStats) Delta(since BuildStats) BuildStats {
+	return BuildStats{Bases: s.Bases - since.Bases, Sketches: s.Sketches - since.Sketches}
+}
 
 // Basis is an orthonormal basis for the column space of a matrix, stored
 // one vector per contiguous row (i.e. transposed relative to the matrix it
@@ -69,6 +97,7 @@ func ComputeBasisTFast(at *mat.Dense, tol float64) *Basis {
 // and kept only if it survives the rank test, so no per-column scratch is
 // allocated.
 func computeBasisT(dst *Basis, at *mat.Dense, tol float64) {
+	buildCounts.bases.Add(1)
 	if tol <= 0 {
 		tol = 1e-12
 	}
@@ -116,6 +145,7 @@ func computeBasisT(dst *Basis, at *mat.Dense, tol float64) {
 // decisions follow the same twice-applied modified Gram-Schmidt; only the
 // reduction orders differ.
 func computeBasisTFast(dst *Basis, at *mat.Dense, tol float64) {
+	buildCounts.bases.Add(1)
 	if tol <= 0 {
 		tol = 1e-12
 	}

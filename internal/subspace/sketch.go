@@ -108,6 +108,7 @@ type SparseCholRef struct{ c *mat.SparseChol }
 // configuration), in which case callers should stay on the exact
 // evaluator.
 func NewSketchEvaluator(et, g *mat.CSC, dOld []float64, cfg SketchConfig) (*SketchEvaluator, error) {
+	buildCounts.sketches.Add(1)
 	k, l := et.Rows(), et.Cols()
 	if g.Rows() != l || g.Cols() != l || len(dOld) != l {
 		return nil, errors.New("subspace: sketch operand shapes disagree")
